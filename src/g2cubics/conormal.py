@@ -317,9 +317,7 @@ def stabilizer_of_cubic(r: BinaryCubic) -> StabilizerDescription:
     if orbit is OrbitClass.C0:
         return StabilizerDescription(4, ComponentGroup.TRIVIAL, [])
     if orbit in (OrbitClass.C1, OrbitClass.C2):
-        _, residual = rational_lines(r)
-        if residual != 0:
-            raise IrrationalSplitting(f"{r!r} has an irrational factor")
+        # the repeated line of a C1 or C2 cubic is always rational
         dim = 2 if orbit is OrbitClass.C1 else 1
         return StabilizerDescription(dim, ComponentGroup.TRIVIAL, [])
     elements = _s3_stabilizer(r)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, isqrt, lcm
 
 from .linalg import Matrix, format_rational, rational
 
@@ -54,13 +54,6 @@ def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def poly_eval(p, x, y) -> Fraction:
-    """Evaluate a homogeneous polynomial (plain basis) at the point (x, y)."""
-    x, y = rational(x), rational(y)
-    d = len(p) - 1
-    return sum((rational(c) * y ** (d - i) * x**i for i, c in enumerate(p)), Fraction(0))
-
-
 def poly_dx(p) -> list[Fraction]:
     """d/dx of a homogeneous polynomial in the plain basis."""
     d = len(p) - 1
@@ -95,45 +88,6 @@ def divide_by_form(p: list[Fraction], u1: Fraction, u2: Fraction):
     if rational(p[0]) != 0:
         return [Fraction(0)] * d, False
     return [rational(c) / (-u2) for c in p[1:]], True
-
-
-def poly_gcd_homogeneous(p: list[Fraction], q: list[Fraction]) -> int:
-    """Degree of gcd of two homogeneous polynomials (0 means coprime).
-
-    Strips common powers of x and y, then runs a univariate Euclid on the
-    dehomogenizations.  Returns the total degree of the gcd; the zero
-    polynomial is treated as divisible by everything.
-    """
-
-    def split(p):
-        p = [rational(c) for c in p]
-        if all(c == 0 for c in p):
-            return None
-        lead = next(i for i, c in enumerate(p) if c != 0)  # power of x
-        tail = next(i for i, c in enumerate(reversed(p)) if c != 0)  # power of y
-        core = p[lead : len(p) - tail]
-        return lead, tail, core  # core[0] != 0 != core[-1]
-
-    sp, sq = split(p), split(q)
-    if sp is None and sq is None:
-        return 0
-    if sp is None:
-        return len(q) - 1
-    if sq is None:
-        return len(p) - 1
-    xp, yp, cp = sp
-    xq, yq, cq = sq
-    a, b = list(cp), list(cq)
-    while any(c != 0 for c in b):
-        # univariate Euclid in s = x/y on coefficient lists (lowest first)
-        while len(a) >= len(b) and any(c != 0 for c in a):
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            a = [c - f * (b[i - shift] if 0 <= i - shift < len(b) else 0) for i, c in enumerate(a)]
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return min(xp, xq) + min(yp, yq) + (len(a) - 1)
 
 
 # -- domain types -------------------------------------------------------------
@@ -335,24 +289,39 @@ def evaluate(r: BinaryCubic | DualCubic, x, y) -> Fraction:
     return r0 * y**3 - 3 * r1 * y**2 * x - 3 * r2 * y * x**2 - r3 * x**3
 
 
-def _substitute(plain: list[Fraction], h: GroupElement) -> list[Fraction]:
-    """Expand p((x, y) h) for a homogeneous polynomial in the plain basis."""
-    # x |-> a x + c y, y |-> b x + d y
-    xs = [h.c, h.a]  # image of x, plain degree-1 basis (y-coeff, x-coeff)
-    ys = [h.d, h.b]
+def _substitute(plain: list[Fraction], h: GroupElement, scale: Fraction) -> list[Fraction]:
+    """Expand scale * p((x, y) h) for a homogeneous polynomial in the plain basis.
+
+    Denominators of p and of h are cleared once, the expansion runs over
+    Python ints, and one Fraction per output coefficient is built at the end.
+    """
     d = len(plain) - 1
-    out = [Fraction(0)] * (d + 1)
+    entries = (h.a, h.b, h.c, h.d)
+    hden = lcm(*(e.denominator for e in entries))
+    a, b, c, dd = (e.numerator * (hden // e.denominator) for e in entries)
+    pden = lcm(*(e.denominator for e in plain))
+    # x |-> a x + c y, y |-> b x + d y
+    xs = _linear_powers(c, a, d)
+    ys = _linear_powers(dd, b, d)
+    out = [0] * (d + 1)
     for i, coeff in enumerate(plain):  # term y^(d-i) x^i
         if coeff == 0:
             continue
-        term = [Fraction(1)]
-        for _ in range(d - i):
-            term = poly_mul(term, ys)
-        for _ in range(i):
-            term = poly_mul(term, xs)
-        for k, t in enumerate(term):
-            out[k] += coeff * t
-    return out
+        coeff = coeff.numerator * (pden // coeff.denominator)
+        for j, yc in enumerate(ys[d - i]):
+            for k, xc in enumerate(xs[i]):
+                out[j + k] += coeff * yc * xc
+    den = pden * hden**d * scale.denominator
+    return [Fraction(v * scale.numerator, den) for v in out]
+
+
+def _linear_powers(ycoeff: int, xcoeff: int, d: int) -> list[list[int]]:
+    """Plain-basis (ycoeff*y + xcoeff*x)^k for k = 0..d, by the binomial theorem."""
+    ys, xs = [1], [1]
+    for _ in range(d):
+        ys.append(ys[-1] * ycoeff)
+        xs.append(xs[-1] * xcoeff)
+    return [[comb(k, j) * ys[k - j] * xs[j] for j in range(k + 1)] for k in range(d + 1)]
 
 
 def act(h: GroupElement, r: BinaryCubic) -> BinaryCubic:
@@ -363,9 +332,7 @@ def act(h: GroupElement, r: BinaryCubic) -> BinaryCubic:
     independent routes on purpose.
     """
     h.require_invertible()
-    plain = _substitute(to_plain(r.coeffs), h)
-    dt = h.det()
-    return BinaryCubic(*from_plain([c / dt for c in plain]))
+    return BinaryCubic(*from_plain(_substitute(to_plain(r.coeffs), h, 1 / h.det())))
 
 
 def act_matrix(h: GroupElement) -> Matrix:
@@ -385,10 +352,10 @@ def act_matrix(h: GroupElement) -> Matrix:
 def act_dual(h: GroupElement, s: DualCubic) -> DualCubic:
     """The contragredient twisted action (h.s)(x, y) = det(h) s((x, y) t(h^{-1}))."""
     h.require_invertible()
-    g = h.inverse().transpose()
-    plain = _substitute(to_plain(s.coeffs), g)
-    dt = h.det()
-    return DualCubic(*from_plain([dt * c for c in plain]))
+    # t(h^{-1}) = adj / det(h) with adj = [[d, -c], [-b, a]], and s is cubic:
+    # det(h) s((x, y) adj / det(h)) = s((x, y) adj) / det(h)^2
+    adj = GroupElement(h.d, -h.c, -h.b, h.a)
+    return DualCubic(*from_plain(_substitute(to_plain(s.coeffs), adj, 1 / h.det() ** 2)))
 
 
 def hessian_quadratic(r: BinaryCubic | DualCubic):
@@ -449,78 +416,122 @@ def rational_lines(r: BinaryCubic | DualCubic):
 
     Returns (lines, residual_degree) where lines is a list of (Line, mult)
     and residual_degree is the degree of the remaining factor with no
-    rational root (0 when r splits over the rationals).
+    rational root (0 when r splits over the rationals).  Lines are listed
+    [0:1] first, then [1:0], then the lines [1:t] by (|num t|, den t) with
+    t > 0 before -t.
+
+    The work is polynomial in the bit-length of r: the repeated line of a
+    C1 or C2 cubic is read off in closed form, and the simple lines of a C3
+    cubic come from Hensel lifting (`_monic_integer_roots`).
     """
     if r.is_zero():
         raise ZeroCubic("the zero cubic has no well-defined root list")
     p = to_plain(r.coeffs)
-    found: list[tuple[Line, int]] = []
-    for root in _rational_projective_roots(p):
-        mult = 0
-        q = p
-        while True:
-            q2, exact = divide_by_form(q, root.u1, root.u2)
-            if not exact:
-                break
-            q = q2
-            mult += 1
-        if mult:
-            found.append((root, mult))
-            p = q
-    residual = len(p) - 1
-    return found, residual
+    orbit = classify(r)
+    if orbit is OrbitClass.C1:
+        # p = k u^3 with u = u1*y - u2*x: p[1]/p[0] = -3*u2/u1
+        line = Line(0, 1) if p[0] == 0 else Line(1, -p[1] / (3 * p[0]))
+        return [(line, 3)], 0
+    if orbit is OrbitClass.C2:
+        # the Hessian quadratic d0 y^2 + d1 xy + d2 x^2 is a multiple of u^2
+        d0, d1, _ = hessian_quadratic(r)
+        double = Line(0, 1) if d0 == 0 else Line(1, -d1 / (2 * d0))
+        p, _ = divide_by_form(p, double.u1, double.u2)
+        p, _ = divide_by_form(p, double.u1, double.u2)
+        simple = Line(p[0], -p[1])
+        return sorted([(double, 2), (simple, 1)], key=lambda lm: _line_order(lm[0])), 0
+    lines = _simple_rational_lines(p)
+    return [(u, 1) for u in lines], 3 - len(lines)
 
 
-def _rational_projective_roots(p: list[Fraction]) -> list[Line]:
-    """Rational zeros [u1:u2] of a homogeneous polynomial, each listed once."""
-    d = len(p) - 1
-    roots: list[Line] = []
-    if rational(p[0]) == 0:  # x divides: the point (x, y) = (0, 1), line [0:1]
-        roots.append(Line(0, 1))
-    # remaining roots have u1 != 0: normalize u1 = 1, solve p(1, t) for t = u2
-    # where the candidate line [1:t] vanishes at (x, y) = (1, t)
-    coeffs = [rational(c) for c in p]  # c_i on y^(d-i) x^i; at (x,y)=(1,t): sum c_i t^(d-i)
-    uni = list(reversed(coeffs))  # index j: coefficient of t^j
-    while uni and uni[-1] == 0:
-        uni.pop()
-    if not uni:
-        return roots
-    lcm = 1
-    for c in uni:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in uni]
-    while ints and ints[0] == 0:  # factor t | p(1, t): root t = 0
-        if not any(line == Line(1, 0) for line in roots):
-            roots.append(Line(1, 0))
-        ints = ints[1:]
-    if len(ints) <= 1:
-        return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for pnum in _divisors(a0):
-        for pden in _divisors(an):
-            for sign in (1, -1):
-                t = Fraction(sign * pnum, pden)
-                if sum(c * t**j for j, c in enumerate(ints)) == 0:
-                    cand = Line(1, t)
-                    if cand not in roots:
-                        roots.append(cand)
+def _line_order(u: Line):
+    """Sort key giving the listing order of `rational_lines`."""
+    if u.u1 == 0:
+        return (0,)
+    t = u.u2
+    if t == 0:
+        return (1,)
+    return (2, abs(t.numerator), t.denominator, t < 0)
+
+
+def _simple_rational_lines(p: list[Fraction]) -> list[Line]:
+    """Rational zeros of a square-free plain-basis cubic, in listing order."""
+    lines = []
+    if p[0] == 0:  # x divides: the point (x, y) = (0, 1), line [0:1]
+        lines.append(Line(0, 1))
+    if p[3] == 0:  # y divides: line [1:0]
+        lines.append(Line(1, 0))
+    # the other lines [1:t] vanish at (x, y) = (1, t): roots of
+    # g(t) = sum p_i t^(3-i), once the zero end coefficients of [0:1] and
+    # [1:0] are dropped
+    g = list(reversed(p))
+    while g[-1] == 0:
+        g.pop()
+    while g[0] == 0:
+        g.pop(0)
+    den = lcm(*(c.denominator for c in g))
+    g = [c.numerator * (den // c.denominator) for c in g]
+    content = gcd(*g)
+    g = [c // content for c in g]
+    # t = s/lead makes lead^(n-1) g(s/lead) monic with integer roots |s| <= |g0*lead|
+    n, lead = len(g) - 1, g[-1]
+    monic = [c * lead ** (n - 1 - j) for j, c in enumerate(g[:-1])] + [1]
+    roots = _monic_integer_roots(monic, abs(g[0] * lead))
+    lines.extend(sorted((Line(1, Fraction(s, lead)) for s in roots), key=_line_order))
+    return lines
+
+
+def _eval_int(f: list[int], x: int) -> int:
+    """f(x) for integer coefficients listed lowest degree first."""
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _monic_discriminant(f: list[int]) -> int:
+    """Discriminant of a monic integer polynomial of degree 1, 2 or 3."""
+    if len(f) == 2:
+        return 1
+    if len(f) == 3:
+        c, b, _ = f
+        return b * b - 4 * c
+    c, b, a, _ = f
+    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+
+
+def _good_prime(disc: int) -> int:
+    """The smallest prime not dividing the nonzero integer disc."""
+    p = 2
+    while disc % p == 0 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+        p += 1
+    return p
+
+
+def _monic_integer_roots(f: list[int], bound: int) -> list[int]:
+    """Integer roots s with |s| <= bound of a square-free monic f (lowest first).
+
+    Modulo the smallest prime p not dividing the discriminant every root is
+    simple, so each root mod p lifts uniquely.  Newton-Hensel doubles the
+    precision p^k per step, updating the inverse derivative by its own Newton
+    step, until p^k > 2*bound; the symmetric residue is then the only
+    candidate, kept if f vanishes there exactly.
+    """
+    p = _good_prime(_monic_discriminant(f))
+    df = [j * c for j, c in enumerate(f)][1:]
+    fp = [c % p for c in f]
+    roots = []
+    for x in range(p):
+        if _eval_int(fp, x) % p:
+            continue
+        m = p
+        inv = pow(_eval_int(df, x), -1, p)
+        while m <= 2 * bound:
+            m *= m
+            x = (x - _eval_int(f, x) * inv) % m
+            inv = inv * (2 - _eval_int(df, x) * inv) % m
+        if x > m // 2:
+            x -= m
+        if _eval_int(f, x) == 0:
+            roots.append(x)
     return roots
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
-def line_of_factor(plain_linear) -> Line:
-    """Line of a degree-1 plain-basis factor [y-coeff, x-coeff]."""
-    a, b = rational(plain_linear[0]), rational(plain_linear[1])
-    return Line(a, -b)

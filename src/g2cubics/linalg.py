@@ -7,6 +7,7 @@ elimination with exact pivoting is all we need.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -31,12 +32,20 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' (or plain 'p') with optional sign; no float syntax."""
-    s = text.strip()
-    if "." in s or "e" in s.lower():
+    """Parse 'p/q' (or plain 'p') with optional sign; no float syntax.
+
+    The grammar is [+-]?digits(/digits)? with surrounding whitespace; any
+    other string, such as '1_0' or '1/2/3', raises ValueError.
+    """
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
         raise ValueError(f"not an exact rational: {text!r}")
-    return Fraction(s)
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(x: Fraction) -> str:

@@ -56,6 +56,43 @@ def test_classify_rejects_bad_rational(capsys):
     assert "bad rational" in err
 
 
+def test_classify_rejects_underscore_and_double_slash(capsys):
+    for bad in ["1_0", "1/2/3"]:
+        code, out, err = run_cli(capsys, "classify", "1", "0", bad, "0")
+        assert code == INPUT_ERROR
+        assert out == ""
+        assert "bad rational" in err
+
+
+def test_classify_twenty_digit_line_times_quadratic(capsys):
+    # -3 x (y^2 + 33333333333333333333 x^2): one rational line, irreducible rest
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "classify", "0", "1", "0", "99999999999999999999"
+    )
+    assert code == OK
+    payload = json.loads(out)
+    assert payload["orbit"] == "C3"
+    assert payload["rational_lines"] == [{"line": ["0", "1"], "multiplicity": 1}]
+    assert payload["residual_degree"] == 2
+    assert payload["stabilizer"] is None
+    validate_payload(payload)
+
+
+def test_classify_eighteen_digit_irreducible_cubic(capsys):
+    # sympy.factor_list leaves this cubic irreducible over the rationals
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "classify",
+        "123456789012345678", "3", "5", "987654321098765431",
+    )
+    assert code == OK
+    payload = json.loads(out)
+    assert payload["orbit"] == "C3"
+    assert payload["rational_lines"] == []
+    assert payload["residual_degree"] == 3
+    assert payload["stabilizer"] is None
+    validate_payload(payload)
+
+
 def test_pair_and_moment(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "pair", "1", "0", "0", "0", "5", "7", "0", "0"

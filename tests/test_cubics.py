@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from g2cubics.cubics import (
+    _substitute,
     BinaryCubic,
     DualCubic,
     GroupElement,
@@ -22,6 +23,7 @@ from g2cubics.cubics import (
     evaluate,
     hessian_quadratic,
     multiplicity_structure,
+    poly_mul,
     rational_lines,
     to_plain,
 )
@@ -95,6 +97,38 @@ def test_act_matrix_is_multiplicative():
     for _ in range(20):
         h1, h2 = rng_element(rng), rng_element(rng)
         assert act_matrix(h1 * h2) == act_matrix(h1) @ act_matrix(h2)
+
+
+def fraction_substitute(plain, h):
+    """p((x, y) h) expanded term by term over Fractions, as a reference."""
+    xs, ys = [h.c, h.a], [h.d, h.b]  # images of x and y, (y-coeff, x-coeff)
+    d = len(plain) - 1
+    out = [Fraction(0)] * (d + 1)
+    for i, coeff in enumerate(plain):
+        term = [Fraction(1)]
+        for _ in range(d - i):
+            term = poly_mul(term, ys)
+        for _ in range(i):
+            term = poly_mul(term, xs)
+        for k, t in enumerate(term):
+            out[k] += coeff * t
+    return out
+
+
+def test_integer_substitution_matches_fraction_expansion():
+    rng = random.Random(9)
+
+    def entry(digits):
+        num = rng.randint(-(10**digits), 10**digits)
+        return Fraction(num, rng.choice([1, 1, 3, rng.randint(1, 10**digits)]))
+
+    for digits in [1] * 100 + [20] * 20 + [100] * 10 + [1000] * 5:
+        h = GroupElement(*(entry(digits) for _ in range(4)))
+        plain = [entry(digits) for _ in range(4)]
+        if rng.random() < 0.2:
+            plain[rng.randrange(4)] = Fraction(0)
+        scale = entry(digits) or Fraction(1)
+        assert _substitute(plain, h, scale) == [scale * c for c in fraction_substitute(plain, h)]
 
 
 def test_act_dual_identity_and_scalars():

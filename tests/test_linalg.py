@@ -146,6 +146,14 @@ def test_rational_serialization_roundtrip():
         parse_rational("1.5")
 
 
+def test_parse_rational_grammar():
+    assert parse_rational(" -3/4 ") == Fraction(-3, 4)
+    assert parse_rational("+7") == 7
+    for bad in ["1_0", "1/2/3", "3/-4", "1e3", "", "-", "0x10"]:
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
 def test_eval_q_examples():
     q = RationalFunctionQ.q()
     assert eval_q(q, 7) == 7
