@@ -23,7 +23,7 @@ from .cubics import (
     multiplicity_structure,
     rational_lines,
 )
-from .linalg import eval_q, format_rational, parse_rational
+from .linalg import format_rational, parse_rational
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
 
@@ -32,9 +32,9 @@ class InputError(ValueError):
     pass
 
 
-def _parse_coeffs(values: list[str], count: int = 4) -> list:
-    if len(values) != count:
-        raise InputError(f"expected {count} rational coefficients, got {len(values)}")
+def _parse_coeffs(values: list[str]) -> list:
+    if len(values) != 4:
+        raise InputError(f"expected 4 rational coefficients, got {len(values)}")
     out = []
     for v in values:
         try:
@@ -140,11 +140,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
-    r = BinaryCubic(*_parse_coeffs(args.coeffs))
-    try:
-        desc = conormal.stabilizer_of_cubic(r)
-    except conormal.IrrationalSplitting as exc:
-        raise InputError(str(exc)) from exc
+    desc = conormal.stabilizer_of_cubic(BinaryCubic(*_parse_coeffs(args.coeffs)))
     payload = desc.to_json()
     human = (
         f"dimension {desc.dimension}, component group {desc.component_group.value}, "
@@ -165,14 +161,8 @@ def cmd_lambda_regular(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    try:
-        payload = sheaves.table_payload(args.which)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if args.format in ("md", "csv", "text"):
-        _emit(args, payload, _render_table(payload, args.format))
-    else:
-        _emit(args, payload, _render_table(payload, "md"))
+    payload = sheaves.table_payload(args.which)
+    _emit(args, payload, _render_table(payload, args.format))
     return OK
 
 
@@ -225,17 +215,9 @@ def cmd_stable(args) -> int:
 
 
 def cmd_formal_degree(args) -> int:
+    q0 = parse_rational(args.q)
     try:
-        q0 = parse_rational(args.q)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    data = rootdata.adjoint_gamma_data()
-    try:
-        values = {
-            "q": format_rational(q0),
-            "dim_sigma": format_rational(eval_q(data.dim_sigma, q0)),
-            "gamma0": format_rational(eval_q(data.gamma0, q0)),
-        }
+        values = {k: format_rational(v) for k, v in rootdata.formal_degree_values(q0).items()}
     except ZeroDivisionError as exc:
         raise InputError(f"pole at q = {args.q}: {exc}") from exc
     human = f"dim sigma = {values['dim_sigma']}, gamma(0) = {values['gamma0']}"
@@ -265,7 +247,7 @@ def cmd_roots(args) -> int:
 
 def cmd_verify(args) -> int:
     tables = sheaves.TABLES
-    if getattr(args, "tamper_evs", False):
+    if args.tamper_evs:
         tables = tables.with_flipped_evs(sheaves.SimpleObject.IC1_C1, 1)
     results = verify.run_checks(args.scope, tables)
     failures = [r for r in results if not r.passed]
@@ -404,9 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return INPUT_ERROR
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR

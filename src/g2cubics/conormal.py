@@ -24,6 +24,7 @@ from .cubics import (
     act,
     act_dual,
     classify,
+    multiplicity_structure,
     poly_dx,
     poly_dy,
     poly_mul,
@@ -167,8 +168,6 @@ def in_lambda_regular(p: ConormalPoint) -> int | None:
     if not moment(p.r, p.s).is_zero():
         return None
     i = classify(p.r).value
-    from .cubics import multiplicity_structure
-
     if multiplicity_structure(p.s) != dual_orbit_class(i):
         return None
     return i
@@ -190,7 +189,7 @@ def canonical_regular_pairs() -> dict[int, ConormalPoint]:
 _GL2_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (row, col) of the four E_ij
 
 
-def _lie_act_primal(ij, r: BinaryCubic) -> list[Fraction]:
+def _lie_act_primal(ij, r: BinaryCubic | DualCubic) -> list[Fraction]:
     """d/dt act(exp(t E_ij), r) at t = 0, as a plain-basis cubic."""
     i, j = ij
     plain = to_plain(r.coeffs)
@@ -209,33 +208,17 @@ def _lie_act_primal(ij, r: BinaryCubic) -> list[Fraction]:
     return out
 
 
-def _lie_act_dual(ij, s: DualCubic) -> list[Fraction]:
-    """d/dt act_dual(exp(t E_ij), s) at t = 0, as a plain-basis cubic."""
-    i, j = ij
-    plain = to_plain(s.coeffs)
-    sx, sy = poly_dx(plain), poly_dy(plain)
-    # tr(X) s - (x X11 + y X12) s_x - (x X21 + y X22) s_y
-    out = [Fraction(0)] * 4
-    cx = [Fraction(int(i == 0 and j == 1)), Fraction(int(i == 0 and j == 0))]
-    cy = [Fraction(int(i == 1 and j == 1)), Fraction(int(i == 1 and j == 0))]
-    for k, c in enumerate(poly_mul(cx, sx)):
-        out[k] -= c
-    for k, c in enumerate(poly_mul(cy, sy)):
-        out[k] -= c
-    if i == j:
-        for k in range(4):
-            out[k] += plain[k]
-    return out
-
-
 def stabilizer_dimension(r: BinaryCubic, s: DualCubic | None = None) -> int:
-    """Dimension of the stabilizer of r (and s) via the infinitesimal action."""
+    """Dimension of the stabilizer of r (and s) via the infinitesimal action.
+
+    act_dual(h) = act(t(h^{-1})), so E_ij acts on s as -E_ji acts on r.
+    """
     rows = []
-    for ij in _GL2_BASIS:
-        rows.append(_lie_act_primal(ij, r))
-    if s is not None:
-        for k, ij in enumerate(_GL2_BASIS):
-            rows[k] = rows[k] + _lie_act_dual(ij, s)
+    for i, j in _GL2_BASIS:
+        row = _lie_act_primal((i, j), r)
+        if s is not None:
+            row += [-c for c in _lie_act_primal((j, i), s)]
+        rows.append(row)
     # rows index gl2 basis vectors; stabilizer = kernel of the transposed map
     m = Matrix.from_rows(rows).transpose()
     return len(kernel_basis(m))

@@ -130,10 +130,6 @@ class _CoeffVector:
     def __init__(self, c0, c1, c2, c3):
         self.coeffs = (rational(c0), rational(c1), rational(c2), rational(c3))
 
-    @classmethod
-    def from_coeffs(cls, coeffs):
-        return cls(*coeffs)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -245,10 +241,6 @@ class Line:
     def perp(self) -> "Line":
         """The unique line v with u1*v1 + u2*v2 = 0."""
         return Line(-self.u2, self.u1)
-
-    def form_plain(self) -> list[Fraction]:
-        """The form u1*y - u2*x as a degree-1 plain-basis polynomial."""
-        return [self.u1, -self.u2]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Line) and (self.u1, self.u2) == (other.u1, other.u2)

@@ -232,27 +232,6 @@ def invert(m: Matrix) -> Matrix:
     return Matrix.from_rows([row[n:] for row in rref[:n]])
 
 
-def det(m: Matrix) -> Fraction:
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    a = m.to_rows()
-    n = m.rows
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            result = -result
-        result *= a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / a[c][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
-
-
 def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:
     """Solve m x = b exactly; None when inconsistent.
 

@@ -33,9 +33,6 @@ class Root:
     def __neg__(self) -> "Root":
         return Root(-self.a, -self.b, self.side)
 
-    def is_positive(self) -> bool:
-        return (self.a, self.b) > (0, 0) if self.a >= 0 and self.b >= 0 else False
-
     def label(self) -> str:
         def term(c, sym):
             if c == 0:

@@ -19,10 +19,12 @@ from .cubics import (
     MultiplicityStructure,
     OrbitClass,
     RATIONAL_SPLIT_REPRESENTATIVES,
+    STRUCTURE_TO_ORBIT,
+    multiplicity_structure,
     rational_lines,
 )
 from .conormal import dual_orbit_class
-from .linalg import Matrix, kernel_basis, rank, solve
+from .linalg import Matrix, rank, solve
 
 
 class InconsistentSystem(ValueError):
@@ -237,8 +239,6 @@ def _line_census(orbit: OrbitClass) -> tuple[int, int]:
         MultiplicityStructure.DOUBLE_PLUS_SIMPLE: 3,
         MultiplicityStructure.THREE_DISTINCT: 6,
     }
-    from .cubics import multiplicity_structure
-
     return distinct, orderings[multiplicity_structure(r)]
 
 
@@ -451,8 +451,6 @@ def fourier(obj: SimpleObject, tables: SheafTables = TABLES) -> tuple[DualSimple
     dual_index, system = tables.fourier_dual[obj]
     dual_obj = DualSimpleObject(dual_index, system)
     structure = dual_orbit_class(dual_index)
-    from .cubics import STRUCTURE_TO_ORBIT
-
     primal_orbit = STRUCTURE_TO_ORBIT[structure]
     for candidate in SIMPLE_ORDER:
         if candidate.support is primal_orbit and candidate.local_system == system:

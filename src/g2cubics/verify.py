@@ -2,12 +2,15 @@
 
 Each check is a pure function returning None on success or a short witness
 string on failure.  The CLI `verify` command runs them all (never stopping
-early) and the acceptance tests reuse them at their stated trial counts.
-Randomized checks draw from a seeded generator, so runs are reproducible.
+early).  A check that reads the sheaf tables declares a `tables` parameter
+and is handed the table set under test.  Randomized checks draw from a
+seeded generator, so runs are reproducible; the acceptance tests reuse the
+random generators and the repeated-root oracle below.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +36,7 @@ from .cubics import (
     poly_dy,
     to_plain,
 )
-from .linalg import Matrix, eval_q, invert, rational
+from .linalg import Matrix, Poly, eval_q, invert, poly_gcd, rational
 from .sheaves import SheafTables, TABLES
 
 
@@ -45,30 +48,30 @@ class CheckResult:
     witness: str = ""
 
 
-def _random_fraction(rng: random.Random, span: int = 4) -> Fraction:
-    num = rng.randint(-span, span)
+def _random_fraction(rng: random.Random) -> Fraction:
+    num = rng.randint(-4, 4)
     den = rng.choice([1, 1, 1, 2, 3])
     return Fraction(num, den)
 
 
-def _random_cubic(rng: random.Random, span: int = 4) -> BinaryCubic:
-    return BinaryCubic(*(_random_fraction(rng, span) for _ in range(4)))
+def _random_cubic(rng: random.Random) -> BinaryCubic:
+    return BinaryCubic(*(_random_fraction(rng) for _ in range(4)))
 
 
-def _random_dual(rng: random.Random, span: int = 4) -> DualCubic:
-    return DualCubic(*(_random_fraction(rng, span) for _ in range(4)))
+def _random_dual(rng: random.Random) -> DualCubic:
+    return DualCubic(*(_random_fraction(rng) for _ in range(4)))
 
 
-def _random_group_element(rng: random.Random, span: int = 4) -> GroupElement:
+def _random_group_element(rng: random.Random) -> GroupElement:
     while True:
-        h = GroupElement(*(_random_fraction(rng, span) for _ in range(4)))
+        h = GroupElement(*(_random_fraction(rng) for _ in range(4)))
         if h.det() != 0:
             return h
 
 
 def _gcd_poly(p, q):
     """Homogeneous gcd returned as a plain-basis polynomial."""
-    # strip common x- and y-powers, run a univariate Euclid, reassemble
+    # strip the x- and y-powers, take the univariate gcd, reassemble
     def split(p):
         p = [rational(c) for c in p]
         if all(c == 0 for c in p):
@@ -84,19 +87,7 @@ def _gcd_poly(p, q):
         return [rational(c) for c in p]
     xp, yp, a = sp
     xq, yq, b = sq
-    a, b = list(a), list(b)
-    while any(c != 0 for c in b):
-        while len(a) >= len(b) and any(c != 0 for c in a):
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            a = [
-                c - f * (b[i - shift] if 0 <= i - shift < len(b) else 0)
-                for i, c in enumerate(a)
-            ]
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    core = a if a else [Fraction(1)]
+    core = list(poly_gcd(Poly(a), Poly(b)).coeffs)
     gx, gy = min(xp, xq), min(yp, yq)
     return [Fraction(0)] * gx + core + [Fraction(0)] * gy
 
@@ -114,13 +105,7 @@ def _has_repeated_root(r: BinaryCubic) -> bool:
 
 
 def check_orbit_representatives() -> str | None:
-    expected = {
-        OrbitClass.C0: REPRESENTATIVES[OrbitClass.C0],
-        OrbitClass.C1: REPRESENTATIVES[OrbitClass.C1],
-        OrbitClass.C2: REPRESENTATIVES[OrbitClass.C2],
-        OrbitClass.C3: REPRESENTATIVES[OrbitClass.C3],
-    }
-    for orbit, rep in expected.items():
+    for orbit, rep in REPRESENTATIVES.items():
         if classify(rep) is not orbit:
             return f"{rep!r} classified as {classify(rep)} not {orbit}"
     return None
@@ -783,27 +768,10 @@ CHECKS: list[tuple[str, str, object]] = [
     ("dim-sigma-integrality", "g2", check_dim_sigma_integrality),
 ]
 
+# computed once from the plain functions: a tracer may later swap the CHECKS
+# entries for *args wrappers, whose signatures no longer name `tables`
 _TABLE_CHECKS = {
-    "stalk-solver",
-    "rhoE-redundant-equations",
-    "fiber-rank-recompute",
-    "geometric-multiplicity-matrix",
-    "kl-transpose",
-    "evs-zero-pattern",
-    "nevs-derivation",
-    "nevs-diagonal",
-    "fourier-involution",
-    "local-system-rank-accounting",
-    "packets-from-nevs",
-    "lpacket-containment",
-    "supercuspidal-in-every-packet",
-    "stable-characters",
-    "standard-module-matrix",
-    "standard-module-roundtrip",
-    "stable-independence",
-    "aubert-involution",
-    "aubert-packet-swap",
-    "temperedness-pattern",
+    name for name, _, fn in CHECKS if "tables" in inspect.signature(fn).parameters
 }
 
 

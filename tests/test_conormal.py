@@ -27,6 +27,7 @@ from g2cubics.cubics import (
     Line,
     MultiplicityStructure,
     OrbitClass,
+    REPRESENTATIVES,
     act,
     act_dual,
     divides,
@@ -172,6 +173,14 @@ def test_stabilizer_dimensions_by_orbit():
     assert stabilizer_dimension(BinaryCubic(1, 0, 0, 0)) == 2
     assert stabilizer_dimension(BinaryCubic(0, 1, 0, 0)) == 1
     assert stabilizer_dimension(BinaryCubic(*XY_X_PLUS_Y)) == 0
+
+
+def test_stabilizer_dimension_of_dual_cubics():
+    # the dual infinitesimal action alone (r = 0), then paired with r
+    duals = [DualCubic(*r.coeffs) for r in REPRESENTATIVES.values()]
+    assert [stabilizer_dimension(BinaryCubic(0, 0, 0, 0), s) for s in duals] == [4, 2, 1, 0]
+    pairs = zip(REPRESENTATIVES.values(), duals)
+    assert [stabilizer_dimension(r, s) for r, s in pairs] == [4, 1, 1, 0]
 
 
 def test_stabilizer_descriptions():

@@ -1,0 +1,31 @@
+from g2cubics import verify
+from g2cubics.sheaves import TABLES, SimpleObject
+
+TAMPERED = TABLES.with_flipped_evs(SimpleObject.IC1_C1, 1)
+
+
+def _failed(scope):
+    return {r.name for r in verify.run_checks(scope, TAMPERED) if not r.passed}
+
+
+def test_tampered_evs_fail_the_nevs_checks():
+    assert _failed("sheaves") == {"nevs-derivation", "nevs-diagonal"}
+
+
+def test_tampered_evs_fail_every_packet_check_that_reads_the_tables():
+    scope = {name for name, s, _ in verify.CHECKS if s == "packets"}
+    assert _failed("packets") == scope - {"aubert-involution", "character-orthogonality"}
+
+
+def test_tampered_evs_reach_wrapped_checks():
+    # a tracer may swap each check for a *args wrapper; the tables must
+    # still reach the checks that declare them
+    def wrap(fn):
+        return lambda *args, **kwargs: fn(*args, **kwargs)
+
+    plain = list(verify.CHECKS)
+    verify.CHECKS[:] = [(name, s, wrap(fn)) for name, s, fn in plain]
+    try:
+        assert _failed("sheaves") == {"nevs-derivation", "nevs-diagonal"}
+    finally:
+        verify.CHECKS[:] = plain
