@@ -8,6 +8,7 @@ tables have a fixed row/column order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -50,8 +51,11 @@ def _emit(args, payload: dict, human: str) -> None:
     else:
         text = human if human.endswith("\n") else human + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -381,9 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused by later ones.
+
+    The cache stores only a returned parser, so an exception or signal that
+    interrupts the build leaves nothing cached; `parse_args` makes a fresh
+    Namespace on every call, so no state passes from one command to the next.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:

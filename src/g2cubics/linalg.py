@@ -1,8 +1,11 @@
 """Exact rational scalars, small dense matrices and rational functions in q.
 
 Everything here works over `fractions.Fraction`; there is no floating point
-anywhere.  Matrices are tiny (at most 6x6 in this package) so plain Gaussian
-elimination with exact pivoting is all we need.
+anywhere.  Matrices are small (the largest is the 21x18 stalk system) so
+Gauss-Jordan elimination with exact pivoting is all we need.  Elimination
+skips zeros: it updates only the rows with a nonzero entry in the pivot
+column, and in them only the pivot row's nonzero columns, so the sparse
+stalk system costs a fraction of a dense elimination.
 """
 
 from __future__ import annotations
@@ -167,23 +170,34 @@ class Matrix:
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in place on a copy); returns (rref, pivot cols)."""
+    """Reduced row echelon form (in place on a copy); returns (rref, pivot cols).
+
+    The pivot row is divided only when its pivot is not 1, and each other row
+    is updated only in the pivot row's nonzero columns.  Left of its pivot a
+    pivot row is all zero, so those columns are never scanned.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        prow = m[r]
+        nonzero = [j for j in range(c, ncols) if prow[j]]
+        pv = prow[c]
+        if pv != 1:
+            for j in nonzero:
+                prow[j] /= pv
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -227,7 +241,7 @@ def invert(m: Matrix) -> Matrix:
     n = m.rows
     aug = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     rref, pivots = _rref(aug)
-    if pivots[: n if len(pivots) >= n else len(pivots)] != list(range(n)):
+    if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return Matrix.from_rows([row[n:] for row in rref[:n]])
 

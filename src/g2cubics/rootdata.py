@@ -10,6 +10,7 @@ coordinates, on which the simple roots act by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -210,7 +211,10 @@ class AdjointGammaData:
         return RationalFunctionQ(Poly.q()) ** int(exponent)
 
 
+@functools.cache
 def adjoint_gamma_data() -> AdjointGammaData:
+    """gamma(0) and dim sigma as canonical rational functions, built on first
+    use and shared by every caller in the process."""
     q = Poly.q()
     one = Poly.const(1)
     gamma0 = RationalFunctionQ(q**9, (q + one) ** 2 * (q**2 + q + one))

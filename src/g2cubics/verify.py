@@ -458,7 +458,7 @@ def check_fourier_involution(tables: SheafTables = TABLES) -> str | None:
     return None
 
 
-def check_local_system_rank_accounting(tables: SheafTables = TABLES) -> str | None:
+def check_local_system_rank_accounting() -> str | None:
     group_orders = {0: 6, 1: 2, 2: 2, 3: 6}
     for stratum, decomp in sheaves.REGULAR_COVER_DECOMP.items():
         # regular representation: multiplicity of each system equals its rank

@@ -1,10 +1,20 @@
+import contextlib
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from g2cubics import cli
 from g2cubics.cli import CHECK_FAILED, INPUT_ERROR, OK, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -242,3 +252,113 @@ def test_output_to_file(tmp_path, capsys):
     assert code == OK
     assert out == ""
     assert json.loads(target.read_text()) == {"pairing": "1"}
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [
+        (Path("no") / "such" / "dir" / "x", errno.ENOENT),
+        (Path("."), errno.EISDIR),
+    ],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_output_is_input_error(tmp_path, capsys, target, reason):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "roots", "--output", str(path))
+    assert code == INPUT_ERROR
+    assert out == ""
+    assert err == f"error: cannot write {path}: {os.strerror(reason)}\n"
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects its input this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _command_sequence(target: Path) -> list:
+    sequence = [
+        ["classify", "1", "0"],
+        ["roots", "--format", "json", "--output", str(target)],
+        ["roots"],
+        ["verify", "--scope", "g2", "--tamper-evs"],
+        ["verify", "--scope", "g2"],
+    ]
+    results = []
+    for argv in sequence:
+        results.append((*_run_captured(argv), target.read_text() if target.exists() else None))
+    return results
+
+
+def test_cached_parser_keeps_no_state_between_commands(tmp_path, monkeypatch):
+    main(["roots", "--output", os.devnull])  # the cached parser exists from here on
+    cached = _command_sequence(tmp_path / "cached.json")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per command
+    fresh = _command_sequence(tmp_path / "fresh.json")
+    assert cached == fresh
+    assert [r[0] for r in cached] == [INPUT_ERROR, OK, OK, OK, OK]
+    assert cached[1][1] == "" and cached[2][1].startswith("positive roots")
+    assert cached[1][3] is not None
+    assert cached[2][3] == cached[1][3]  # plain `roots` left the file as it was
+
+
+def test_parse_args_returns_a_fresh_namespace():
+    parser = cli._parser()
+    tampered = parser.parse_args(["verify", "--tamper-evs"])
+    plain = parser.parse_args(["verify"])
+    assert plain is not tampered
+    assert (tampered.tamper_evs, plain.tamper_evs) == (True, False)
+
+
+_COUNT_PARSERS = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import g2cubics.cli
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        g2cubics.cli.main(["roots"])
+    counts.append(len(built))
+print(counts)
+"""
+
+
+def test_import_builds_no_parser_and_main_builds_one_once():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS], env=env, capture_output=True, text=True, check=True
+    )
+    at_import, after_first, after_second = json.loads(proc.stdout)
+    assert at_import == 0
+    assert after_first > 0
+    assert after_second == after_first
+
+
+def test_interrupted_parser_build_is_not_cached(monkeypatch, capsys):
+    add_flags = cli._add_global_flags
+    calls = []
+
+    def interrupt_third_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        add_flags(*args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "_add_global_flags", interrupt_third_call)
+    with pytest.raises(KeyboardInterrupt):
+        main(["roots"])
+    monkeypatch.setattr(cli, "_add_global_flags", add_flags)
+    # `verify` is the last subcommand added, so a half-built parser lacks it
+    code, out, _ = run_cli(capsys, "verify", "--scope", "g2")
+    assert code == OK
+    assert out.endswith("checks passed\n")

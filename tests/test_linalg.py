@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from g2cubics import linalg
 from g2cubics.linalg import (
     Matrix,
     Poly,
@@ -30,28 +34,37 @@ def test_kernel_of_zero_map_is_standard_basis():
         assert v == [Fraction(int(i == j)) for i in range(4)]
 
 
-def _hand_gaussian_kernel(rows):
-    """Independent elimination oracle, written without the library routines."""
+def _dense_rref(rows):
+    """Dense Gauss-Jordan: every pivot row divided and every row with a
+    nonzero in the pivot column updated in all columns.  The reference that
+    the zero-skipping `linalg._rref` must match exactly."""
     m = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(m[0])
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        hit = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                hit = i
-                break
-        if hit is None:
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
             continue
-        m[r], m[hit] = m[hit], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _hand_gaussian_kernel(rows):
+    """Independent elimination oracle, written without the library routines."""
+    m, pivots = _dense_rref(rows)
+    ncols = len(m[0])
     basis = []
     for free in [c for c in range(ncols) if c not in pivots]:
         v = [Fraction(0)] * ncols
@@ -180,3 +193,66 @@ def test_rational_function_json_is_lowest_degree_first():
     one = Poly.const(1)
     f = RationalFunctionQ(q**2 - one, Poly.const(2))
     assert f.to_json() == {"num": ["-1/2", "0", "1/2"], "den": ["1"]}
+
+
+@st.composite
+def _systems(draw):
+    """A 1x1 to 7x8 matrix of one entry size (1 to 1000 digits), with zero,
+    integer and non-integer entries, and a right-hand side.  Some rows are
+    zero or combinations of earlier rows and some columns are zero, so many
+    matrices are rank-deficient."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    bound = 10 ** draw(st.sampled_from([1, 2, 20, 100, 1000]))
+    ints = st.integers(-bound, bound)
+    entry = st.one_of(st.just(0), ints, st.builds(Fraction, ints, st.integers(1, bound)))
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            rows.append([Fraction(0)] * ncols)
+        elif kind == 1 and i >= 2:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows.append([a * x + b * y for x, y in zip(rows[j], rows[k])])
+        else:
+            rows.append([Fraction(draw(entry)) for _ in range(ncols)])
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = Fraction(0)
+    rhs = draw(st.lists(st.integers(-9, 9), min_size=nrows, max_size=nrows))
+    return rows, rhs
+
+
+def _random_system(nrows, ncols, digits):
+    rng = random.Random(5)
+    bound = 10**digits
+    rows = [
+        [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    return rows, [rng.randint(-9, 9) for _ in range(nrows)]
+
+
+def _results(m, b):
+    out = {"rank": rank(m), "kernel": kernel_basis(m), "solve": solve(m, b)}
+    n = min(m.rows, m.cols)
+    square = Matrix.from_rows([row[:n] for row in m.to_rows()[:n]])
+    try:
+        out["invert"] = invert(square)
+    except SingularMatrix:
+        out["invert"] = "singular"
+    return out
+
+
+@settings(max_examples=150)
+@given(_systems())
+@example(([[Fraction(0)]], [1]))
+@example(_random_system(7, 8, 1))
+@example(_random_system(3, 4, 1000))
+def test_zero_skipping_rref_matches_dense_elimination(system):
+    rows, b = system
+    assert linalg._rref(rows) == _dense_rref(rows)
+    m = Matrix.from_rows(rows)
+    got = _results(m, b)
+    with mock.patch.object(linalg, "_rref", _dense_rref):
+        assert got == _results(m, b)

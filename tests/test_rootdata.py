@@ -126,3 +126,7 @@ def test_formal_degree_values_helper():
     out = formal_degree_values(3)
     assert out["dim_sigma"] == 14
     assert out["gamma0"] == Fraction(3**9, 16 * 13)
+
+
+def test_adjoint_gamma_data_is_built_once():
+    assert adjoint_gamma_data() is adjoint_gamma_data()

@@ -1,3 +1,7 @@
+import ast
+import inspect
+import textwrap
+
 from g2cubics import verify
 from g2cubics.sheaves import TABLES, SimpleObject
 
@@ -29,3 +33,19 @@ def test_tampered_evs_reach_wrapped_checks():
         assert _failed("sheaves") == {"nevs-derivation", "nevs-diagonal"}
     finally:
         verify.CHECKS[:] = plain
+
+
+def test_every_table_check_reads_its_tables():
+    # a check that declares `tables` but never reads it runs under the table
+    # checks although no change to the tables can reach it
+    def reads_tables(fn):
+        body = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0].body
+        return any(
+            isinstance(node, ast.Name) and node.id == "tables"
+            for statement in body
+            for node in ast.walk(statement)
+        )
+
+    plain = {name: fn for name, _, fn in verify.CHECKS}
+    assert sorted(n for n in verify._TABLE_CHECKS if not reads_tables(plain[n])) == []
+    assert len(verify._TABLE_CHECKS) == 19
