@@ -50,6 +50,8 @@ from .linalg import (
     kernel_basis,
 )
 from .packets import (
+    DERIVED,
+    Derived,
     Irreducible,
     VirtualCharacter,
     aubert,
@@ -75,14 +77,9 @@ from .rootdata import (
 from .sheaves import (
     Cover,
     SimpleObject,
-    evs,
-    fiber_cohomology_rank,
     fourier,
     geometric_multiplicity_matrix,
-    kl_check,
     nevs,
-    pushforward_decomposition,
-    rep_multiplicity_matrix,
     solve_ic_stalk_ranks,
 )
 from .verify import run_checks

@@ -165,7 +165,7 @@ def cmd_lambda_regular(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    payload = sheaves.table_payload(args.which)
+    payload = sheaves.table_payload(args.which, packets.DERIVED)
     _emit(args, payload, _render_table(payload, args.format))
     return OK
 
@@ -173,12 +173,10 @@ def cmd_tables(args) -> int:
 def cmd_packets(args) -> int:
     if args.psi not in (0, 1, 2, 3):
         raise InputError("psi index must be 0..3")
-    members = sorted(p.label() for p in packets.packet(args.psi))
+    packet = packets.DERIVED.packets[args.psi]
+    members = sorted(p.label() for p in packet)
     lmembers = sorted(p.label() for p in packets.l_packet(args.psi))
-    chars = {
-        p.label(): packets.pairing_character(args.psi, p)
-        for p in packets.packet(args.psi)
-    }
+    chars = {p.label(): packets.pairing_character(args.psi, p, packets.DERIVED) for p in packet}
     payload = {
         "psi": args.psi,
         "packet": members,
@@ -191,7 +189,7 @@ def cmd_packets(args) -> int:
 
 
 def cmd_aubert(args) -> int:
-    mapping = {pi.label(): packets.aubert(pi).label() for pi in packets.IRREDUCIBLE_ORDER}
+    mapping = {pi.label(): packets.aubert(pi, packets.DERIVED).label() for pi in packets.IRREDUCIBLE_ORDER}
     human = "\n".join(f"{k} -> {v}" for k, v in mapping.items())
     _emit(args, {"aubert": mapping}, human)
     return OK
@@ -200,13 +198,13 @@ def cmd_aubert(args) -> int:
 def cmd_stable(args) -> int:
     if args.psi not in (0, 1, 2, 3):
         raise InputError("psi index must be 0..3")
-    theta = packets.stable_virtual_character(args.psi)
+    theta = packets.DERIVED.stable[args.psi]
     payload = {"psi": args.psi, "basis": args.basis}
     if args.basis == "irred":
         payload["coefficients"] = list(theta.coefficients)
         names = [p.label() for p in packets.IRREDUCIBLE_ORDER]
     else:
-        coefficients = packets.express_in_standard_modules(theta)
+        coefficients = packets.express_in_standard_modules(theta, packets.DERIVED)
         payload["coefficients"] = [format_rational(c) for c in coefficients]
         names = ["M0", "M1", "M2", "Theta_psi3"]
     terms = [
@@ -250,10 +248,10 @@ def cmd_roots(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tables = sheaves.TABLES
+    derived = packets.DERIVED
     if args.tamper_evs:
-        tables = tables.with_flipped_evs(sheaves.SimpleObject.IC1_C1, 1)
-    results = verify.run_checks(args.scope, tables)
+        derived = packets.Derived(sheaves.TABLES.with_flipped_evs(sheaves.SimpleObject.IC1_C1, 1))
+    results = verify.run_checks(args.scope, derived)
     failures = [r for r in results if not r.passed]
     lines = []
     for r in results:

@@ -11,6 +11,7 @@ stalk system costs a fraction of a dense elimination.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -35,28 +36,56 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+_RATIONAL = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
+
+# CPython caps int <-> decimal string conversion at this many digits (0: no
+# cap); the two helpers below split longer numbers by powers of ten, so every
+# size converts, without changing the process-wide setting
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _str_to_int(digits: str) -> int:
+    limit = _max_str_digits()
+    if not limit or len(digits) <= limit:
+        return int(digits)
+    k = len(digits) // 2
+    return _str_to_int(digits[:-k]) * 10**k + _str_to_int(digits[-k:])
+
+
+def _int_to_str(n: int) -> str:
+    limit = _max_str_digits()
+    if not limit or n.bit_length() <= 3 * limit:  # then n has under 0.91 * limit digits
+        return str(n)
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    k = n.bit_length() // 7  # about half of n's digits
+    high, low = divmod(n, 10**k)
+    return _int_to_str(high) + _int_to_str(low).zfill(k)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' (or plain 'p') with optional sign; no float syntax.
 
     The grammar is [+-]?digits(/digits)? with surrounding whitespace; any
-    other string, such as '1_0' or '1/2/3', raises ValueError.
+    other string, such as '1_0' or '1/2/3', raises ValueError. Numbers of
+    any length are read exactly.
     """
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ValueError(f"not an exact rational: {text!r}")
-    num, den = match.groups()
-    return Fraction(int(num), int(den or 1))
+    sign, num, den = match.groups()
+    num = -_str_to_int(num) if sign == "-" else _str_to_int(num)
+    den = _str_to_int(den or "1")
+    if den == 0:  # Fraction's own message would print num with str()
+        raise ZeroDivisionError(f"Fraction({_int_to_str(num)}, 0)")
+    return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> str:
-    """Render as 'p/q', or 'p' when the denominator is 1."""
+    """Render as 'p/q', or 'p' when the denominator is 1; any size is exact."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    num = _int_to_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_to_str(x.denominator)}"
 
 
 class Matrix:

@@ -3,26 +3,24 @@
 Everything here is derived from the microlocal tables, the finite character
 tables of S2/S3 and the encoded multiplicity matrix; the derived values are
 compared against the expected packet and distribution tables by the
-verification suite.
+verification suite. `Derived` holds every fact derived from one table set,
+each computed once; `DERIVED` is the one for the shipped tables.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
-from .linalg import Matrix, invert, rank, solve
+from . import sheaves
+from .cubics import OrbitClass
+from .linalg import Matrix, solve
 from .rootdata import arthur_parameters
-from .sheaves import (
-    SIMPLE_ORDER,
-    SheafTables,
-    SimpleObject,
-    TABLES,
-    fourier,
-    nevs,
-    rep_multiplicity_matrix,
-)
+from .sheaves import SIMPLE_ORDER, SheafTables, SimpleObject, TABLES
 
 
 class NotInSpan(ValueError):
@@ -96,13 +94,9 @@ CLASS_SIZES = {"S3": {"e": 1, "transposition": 3, "3-cycle": 2}, "S2": {"e": 1, 
 _LABEL_TO_IRREP = {"one": "1", "T": "tau", "R": "rho", "E": "eps"}
 
 
-def packet(psi: int, tables: SheafTables = TABLES) -> set[Irreducible]:
+def packet(psi: int, derived: Derived) -> frozenset[Irreducible]:
     """The packet of psi: support of the normalised table at stratum psi."""
-    out = set()
-    for obj in SIMPLE_ORDER:
-        if psi in nevs(obj, tables):
-            out.add(llc(obj))
-    return out
+    return frozenset(llc(obj) for obj in SIMPLE_ORDER if psi in derived.nevs(obj))
 
 
 EXPECTED_PACKETS = {
@@ -122,9 +116,9 @@ def l_packet(phi: int) -> set[Irreducible]:
     }[phi]
 
 
-def pairing_character(psi: int, pi: Irreducible, tables: SheafTables = TABLES) -> str | None:
+def pairing_character(psi: int, pi: Irreducible, derived: Derived) -> str | None:
     """Name of the component-group irreducible pairing pi with psi, or None."""
-    label = nevs(llc_inverse(pi), tables).get(psi)
+    label = derived.nevs(llc_inverse(pi)).get(psi)
     return None if label is None else _LABEL_TO_IRREP[label]
 
 
@@ -137,7 +131,7 @@ class VirtualCharacter:
         return {"basis": self.basis, "coefficients": list(self.coefficients)}
 
 
-def stable_virtual_character(psi: int, tables: SheafTables = TABLES) -> VirtualCharacter:
+def stable_virtual_character(psi: int, derived: Derived) -> VirtualCharacter:
     """Integer combination of irreducibles with coefficients evaluated at s_psi."""
     meta = arthur_parameters()[psi]
     table = character_table(meta.component_group)
@@ -147,7 +141,7 @@ def stable_virtual_character(psi: int, tables: SheafTables = TABLES) -> VirtualC
         klass = "t" if meta.component_group == "S2" else "transposition"
     coeffs = []
     for pi in IRREDUCIBLE_ORDER:
-        irrep = pairing_character(psi, pi, tables)
+        irrep = pairing_character(psi, pi, derived)
         coeffs.append(0 if irrep is None else table.values[(irrep, klass)])
     return VirtualCharacter("irreducible", tuple(coeffs))
 
@@ -160,34 +154,20 @@ EXPECTED_STABLE = {
 }
 
 
-def standard_module_rows(tables: SheafTables = TABLES) -> list[tuple]:
-    """The basis (M0, M1, M2, Theta_psi3) written over the irreducibles."""
-    rep = rep_multiplicity_matrix(tables)
-    theta3 = stable_virtual_character(3, tables).coefficients
-    return [tuple(rep[0]), tuple(rep[1]), tuple(rep[2]), tuple(theta3)]
-
-
-def express_in_standard_modules(
-    v: VirtualCharacter, tables: SheafTables = TABLES
-) -> tuple[Fraction, ...]:
+def express_in_standard_modules(v: VirtualCharacter, derived: Derived) -> tuple[Fraction, ...]:
     """Coefficients of v over (M0, M1, M2, Theta_psi3); exact solve."""
     if v.basis != "irreducible":
         raise ValueError("expected a virtual character in the irreducible basis")
-    basis_rows = standard_module_rows(tables)
-    m = Matrix.from_rows(basis_rows).transpose()  # 6x4: columns are the basis
+    m = Matrix.from_rows(derived.standard_rows).transpose()  # 6x4: columns are the basis
     x = solve(m, list(v.coefficients))
     if x is None:
         raise NotInSpan(f"{v} is not in the span of the four stable distributions")
     return tuple(x)
 
 
-def standard_module_change_of_basis(tables: SheafTables = TABLES) -> Matrix:
+def standard_module_change_of_basis(derived: Derived) -> Matrix:
     """Rows: Theta_psi0..Theta_psi3 over (M0, M1, M2, Theta_psi3)."""
-    rows = [
-        list(express_in_standard_modules(stable_virtual_character(i, tables), tables))
-        for i in range(4)
-    ]
-    return Matrix.from_rows(rows)
+    return Matrix.from_rows([express_in_standard_modules(v, derived) for v in derived.stable])
 
 
 EXPECTED_CHANGE_OF_BASIS = Matrix.from_rows(
@@ -195,28 +175,60 @@ EXPECTED_CHANGE_OF_BASIS = Matrix.from_rows(
 )
 
 
-def aubert(pi: Irreducible, tables: SheafTables = TABLES) -> Irreducible:
+def aubert(pi: Irreducible, derived: Derived) -> Irreducible:
     """The involution conjugate to the Fourier transform under the bijection."""
-    _, primal = fourier(llc_inverse(pi), tables)
+    _, primal = derived.fourier(llc_inverse(pi))
     return llc(primal)
 
 
-def stable_basis_rank(tables: SheafTables = TABLES) -> int:
-    rows = [list(stable_virtual_character(i, tables).coefficients) for i in range(4)]
-    return rank(Matrix.from_rows(rows))
+class Derived:
+    """Every fact derived from one table set, computed on first use and kept.
+
+    Kept values are immutable, so the shared `DERIVED` hands the same value
+    to every caller. Normalised rows and Fourier images are kept per object,
+    so a corrupt row fails only its readers; a derivation that raises keeps
+    nothing and raises again on the next read.
+    """
+
+    def __init__(self, tables: SheafTables):
+        self.tables = tables
+        self._nevs, self._fourier = {}, {}
+
+    @cached_property
+    def stalk_ranks(self) -> Mapping[tuple[SimpleObject, OrbitClass], int]:
+        return MappingProxyType(sheaves.solve_ic_stalk_ranks(self.tables))
+
+    @cached_property
+    def geomult(self) -> tuple[tuple[int, ...], ...]:
+        return sheaves.geometric_multiplicity_matrix(self.stalk_ranks)
+
+    def nevs(self, obj: SimpleObject) -> Mapping[int, str]:
+        """The normalised row of obj, checked against its derivation."""
+        if obj not in self._nevs:
+            self._nevs[obj] = MappingProxyType(sheaves.nevs(obj, self.tables))
+        return self._nevs[obj]
+
+    def fourier(self, obj: SimpleObject) -> tuple[sheaves.DualSimpleObject, SimpleObject]:
+        if obj not in self._fourier:
+            self._fourier[obj] = sheaves.fourier(obj, self.tables)
+        return self._fourier[obj]
+
+    @cached_property
+    def packets(self) -> tuple[frozenset[Irreducible], ...]:
+        return tuple(packet(psi, self) for psi in range(4))
+
+    @cached_property
+    def stable(self) -> tuple[VirtualCharacter, ...]:
+        return tuple(stable_virtual_character(psi, self) for psi in range(4))
+
+    @cached_property
+    def standard_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The basis (M0, M1, M2, Theta_psi3) written over the irreducibles."""
+        return (*self.tables.rep_multiplicity[:3], self.stable[3].coefficients)
+
+    @cached_property
+    def change_of_basis(self) -> Matrix:
+        return standard_module_change_of_basis(self)
 
 
-def change_of_basis_roundtrip_ok(tables: SheafTables = TABLES) -> bool:
-    """Invert the unitriangular matrix and reproduce the Theta vectors."""
-    m = standard_module_change_of_basis(tables)
-    minv = invert(m)
-    basis_rows = standard_module_rows(tables)
-    for i in range(4):
-        target = [Fraction(c) for c in stable_virtual_character(i, tables).coefficients]
-        coeffs = m.row(i)
-        recovered = [
-            sum(coeffs[k] * Fraction(basis_rows[k][j]) for k in range(4)) for j in range(6)
-        ]
-        if recovered != target:
-            return False
-    return (m @ minv) == Matrix.identity(4)
+DERIVED = Derived(TABLES)

@@ -12,8 +12,10 @@ twist, and the Fourier map is checked to be an involution.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cubics import (
     MultiplicityStructure,
@@ -25,6 +27,9 @@ from .cubics import (
 )
 from .conormal import dual_orbit_class
 from .linalg import Matrix, rank, solve
+
+if TYPE_CHECKING:
+    from .packets import Derived
 
 
 class InconsistentSystem(ValueError):
@@ -222,10 +227,6 @@ TABLES = default_tables()
 # -- fiber ranks ---------------------------------------------------------------
 
 
-def fiber_cohomology_rank(cover: Cover, orbit: OrbitClass, tables: SheafTables = TABLES) -> int:
-    return tables.fiber_ranks[cover][orbit]
-
-
 def _line_census(orbit: OrbitClass) -> tuple[int, int]:
     """(distinct lines, ordered line factorizations) of a split representative."""
     if orbit is OrbitClass.C0:
@@ -268,10 +269,6 @@ def recomputed_finite_fiber_counts() -> dict[tuple[Cover, OrbitClass], int]:
     }
 
 
-def pushforward_decomposition(cover: Cover, tables: SheafTables = TABLES) -> KClass:
-    return dict(tables.decompositions[cover])
-
-
 # -- stalk solver ---------------------------------------------------------------
 
 
@@ -284,7 +281,7 @@ def _unknowns() -> list[tuple[SimpleObject, OrbitClass]]:
     return out
 
 
-def solve_ic_stalk_ranks(tables: SheafTables = TABLES) -> dict[tuple[SimpleObject, OrbitClass], int]:
+def solve_ic_stalk_ranks(tables: SheafTables) -> dict[tuple[SimpleObject, OrbitClass], int]:
     """Solve stalk ranks from the proper covers, exactly and uniquely.
 
     Unknowns are ranks on orbits inside each object's support closure.  The
@@ -339,18 +336,7 @@ def solve_ic_stalk_ranks(tables: SheafTables = TABLES) -> dict[tuple[SimpleObjec
     return result
 
 
-def rhoe_equations_satisfied(tables: SheafTables = TABLES) -> bool:
-    """The redundant rhoE cover equations, against the solved ranks."""
-    ranks = solve_ic_stalk_ranks(tables)
-    decomp = tables.decompositions[Cover.RHOE]
-    for orbit in ORBITS:
-        total = sum(mult * ranks[(obj, orbit)] for (obj, _), mult in decomp.items())
-        if total != tables.fiber_ranks[Cover.RHOE][orbit]:
-            return False
-    return True
-
-
-def graded_stalk_totals(tables: SheafTables = TABLES) -> dict[tuple[SimpleObject, OrbitClass], int]:
+def graded_stalk_totals(tables: SheafTables) -> dict[tuple[SimpleObject, OrbitClass], int]:
     out = {}
     for obj in SIMPLE_ORDER:
         for orbit in ORBITS:
@@ -359,14 +345,13 @@ def graded_stalk_totals(tables: SheafTables = TABLES) -> dict[tuple[SimpleObject
     return out
 
 
-def geometric_multiplicity_matrix(tables: SheafTables = TABLES) -> list[list[int]]:
+def geometric_multiplicity_matrix(ranks: Mapping) -> tuple[tuple[int, ...], ...]:
     """Multiplicities of standard sheaves in simple objects, from solved ranks.
 
     On the closed strata only trivial local systems exist, so the entry is
     the stalk rank; on the open orbit the restriction of a simple object is
     its own local system.
     """
-    ranks = solve_ic_stalk_ranks(tables)
     open_columns = {"triv": SimpleObject.IC1_C3, "refl": SimpleObject.ICR_C3, "sign": SimpleObject.ICE_C3}
     matrix = []
     for obj in SIMPLE_ORDER:
@@ -374,30 +359,14 @@ def geometric_multiplicity_matrix(tables: SheafTables = TABLES) -> list[list[int
         open_row = [0, 0, 0]
         if obj.support is OrbitClass.C3:
             open_row[SIMPLE_ORDER.index(open_columns[obj.local_system]) - 3] = 1
-        matrix.append(row + open_row)
-    return matrix
-
-
-def rep_multiplicity_matrix(tables: SheafTables = TABLES) -> list[list[int]]:
-    return [list(row) for row in tables.rep_multiplicity]
-
-
-def kl_check(tables: SheafTables = TABLES) -> bool:
-    """Geometric multiplicities equal the transposed module multiplicities."""
-    geo = geometric_multiplicity_matrix(tables)
-    rep = rep_multiplicity_matrix(tables)
-    n = len(rep)
-    return all(geo[i][j] == rep[j][i] for i in range(n) for j in range(n))
+        matrix.append(tuple(row + open_row))
+    return tuple(matrix)
 
 
 # -- microlocal tables ----------------------------------------------------------
 
 
-def evs(obj: SimpleObject, tables: SheafTables = TABLES) -> dict[int, str]:
-    return dict(tables.evs[obj])
-
-
-def nevs_derived(obj: SimpleObject, tables: SheafTables = TABLES) -> dict[int, str]:
+def nevs_derived(obj: SimpleObject, tables: SheafTables) -> dict[int, str]:
     """Normalised row from the raw row: twist strata 1 and 2 by T.
 
     The raw functor sends the trivial-system object on stratum i to T there
@@ -411,7 +380,7 @@ def nevs_derived(obj: SimpleObject, tables: SheafTables = TABLES) -> dict[int, s
     return out
 
 
-def nevs(obj: SimpleObject, tables: SheafTables = TABLES) -> dict[int, str]:
+def nevs(obj: SimpleObject, tables: SheafTables) -> dict[int, str]:
     derived = nevs_derived(obj, tables)
     encoded = dict(tables.nevs[obj])
     if derived != encoded:
@@ -419,15 +388,6 @@ def nevs(obj: SimpleObject, tables: SheafTables = TABLES) -> dict[int, str]:
             f"normalised row for {obj.name}: derived {derived} != encoded {encoded}"
         )
     return encoded
-
-
-def evs_zero_pattern_ok(tables: SheafTables = TABLES) -> bool:
-    """Raw rows vanish on strata above the support orbit."""
-    for obj in SIMPLE_ORDER:
-        for stratum in tables.evs[obj]:
-            if stratum > obj.support.value:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -442,7 +402,7 @@ class DualSimpleObject:
         return f"{sys}_C{self.dual_orbit_index}*"
 
 
-def fourier(obj: SimpleObject, tables: SheafTables = TABLES) -> tuple[DualSimpleObject, SimpleObject]:
+def fourier(obj: SimpleObject, tables: SheafTables) -> tuple[DualSimpleObject, SimpleObject]:
     """Fourier transform: the dual-side object and its primal identification.
 
     The identification replaces the dual orbit Ci* by the primal orbit with
@@ -458,15 +418,12 @@ def fourier(obj: SimpleObject, tables: SheafTables = TABLES) -> tuple[DualSimple
     raise ValueError(f"no primal object with support {primal_orbit} and system {system}")
 
 
-def fourier_primal_map(tables: SheafTables = TABLES) -> dict[SimpleObject, SimpleObject]:
-    return {obj: fourier(obj, tables)[1] for obj in SIMPLE_ORDER}
-
-
 # -- table export ----------------------------------------------------------------
 
 
-def table_payload(which: str, tables: SheafTables = TABLES) -> dict:
-    """A uniform rows/cols/entries rendering of each shipped table."""
+def table_payload(which: str, derived: Derived) -> dict:
+    """A uniform rows/cols/entries rendering of each table of a table set."""
+    tables = derived.tables
     objs = [o.name for o in SIMPLE_ORDER]
     strata = [f"stratum{i}" for i in range(4)]
     if which == "stalks":
@@ -484,13 +441,13 @@ def table_payload(which: str, tables: SheafTables = TABLES) -> dict:
         return {
             "rows": objs,
             "cols": [f"{o.name}!" for o in SIMPLE_ORDER],
-            "entries": geometric_multiplicity_matrix(tables),
+            "entries": derived.geomult,
         }
     if which == "repmult":
         return {
             "rows": ["M0", "M1", "M2", "M3", "M3rho", "M3eps"],
             "cols": ["pi0", "pi1", "pi2", "pi3", "pi3rho", "pi3eps"],
-            "entries": rep_multiplicity_matrix(tables),
+            "entries": tables.rep_multiplicity,
         }
     if which == "evs":
         return {
@@ -502,12 +459,12 @@ def table_payload(which: str, tables: SheafTables = TABLES) -> dict:
         return {
             "rows": objs,
             "cols": strata,
-            "entries": [[nevs(o, tables).get(i, "0") for i in range(4)] for o in SIMPLE_ORDER],
+            "entries": [[derived.nevs(o).get(i, "0") for i in range(4)] for o in SIMPLE_ORDER],
         }
     if which == "fourier":
         entries = []
         for obj in SIMPLE_ORDER:
-            dual_obj, primal = fourier(obj, tables)
+            dual_obj, primal = derived.fourier(obj)
             entries.append([dual_obj.label(), primal.name])
         return {"rows": objs, "cols": ["dual", "primal"], "entries": entries}
     raise ValueError(f"unknown table {which!r}")

@@ -2,10 +2,11 @@
 
 Each check is a pure function returning None on success or a short witness
 string on failure.  The CLI `verify` command runs them all (never stopping
-early).  A check that reads the sheaf tables declares a `tables` parameter
-and is handed the table set under test.  Randomized checks draw from a
-seeded generator, so runs are reproducible; the acceptance tests reuse the
-random generators and the repeated-root oracle below.
+early).  A check that reads the sheaf tables declares a `derived` parameter
+and is handed the `packets.Derived` of the table set under test.
+Randomized checks draw from a seeded generator, so runs are reproducible;
+the acceptance tests reuse the random generators and the repeated-root
+oracle below.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .cubics import (
     poly_dy,
     to_plain,
 )
-from .linalg import Matrix, Poly, eval_q, invert, poly_gcd, rational
-from .sheaves import SheafTables, TABLES
+from .linalg import Matrix, Poly, eval_q, invert, poly_gcd, rank, rational
+from .packets import Derived
 
 
 @dataclass
@@ -376,30 +377,35 @@ def check_lambda_regular_base_points() -> str | None:
 # --- sheaf checks ---------------------------------------------------------------
 
 
-def check_stalk_solver(tables: SheafTables = TABLES) -> str | None:
-    solved = sheaves.solve_ic_stalk_ranks(tables)
-    encoded = sheaves.graded_stalk_totals(tables)
-    for key, value in encoded.items():
+def check_stalk_solver(derived: Derived) -> str | None:
+    solved = derived.stalk_ranks
+    for key, value in sheaves.graded_stalk_totals(derived.tables).items():
         if solved[key] != value:
             return f"{key}: solved {solved[key]} != encoded {value}"
     return None
 
 
-def check_rhoe_redundancy(tables: SheafTables = TABLES) -> str | None:
-    if not sheaves.rhoe_equations_satisfied(tables):
-        return "rhoE cover equations are not satisfied by the solved ranks"
+def check_rhoe_redundancy(derived: Derived) -> str | None:
+    """The rhoE cover, left out of the solve, is satisfied by the solved ranks."""
+    ranks, tables = derived.stalk_ranks, derived.tables
+    decomp = tables.decompositions[sheaves.Cover.RHOE]
+    for orbit in sheaves.ORBITS:
+        total = sum(mult * ranks[(obj, orbit)] for (obj, _), mult in decomp.items())
+        if total != tables.fiber_ranks[sheaves.Cover.RHOE][orbit]:
+            return "rhoE cover equations are not satisfied by the solved ranks"
     return None
 
 
-def check_fiber_rank_recompute(tables: SheafTables = TABLES) -> str | None:
+def check_fiber_rank_recompute(derived: Derived) -> str | None:
+    fiber_ranks = derived.tables.fiber_ranks
     for (cover, orbit), count in sheaves.recomputed_finite_fiber_counts().items():
-        if tables.fiber_ranks[cover][orbit] != count:
-            return f"{cover.value} at {orbit}: encoded {tables.fiber_ranks[cover][orbit]} != recomputed {count}"
+        if fiber_ranks[cover][orbit] != count:
+            return f"{cover.value} at {orbit}: encoded {fiber_ranks[cover][orbit]} != recomputed {count}"
     return None
 
 
-def check_geomult(tables: SheafTables = TABLES) -> str | None:
-    got = sheaves.geometric_multiplicity_matrix(tables)
+def check_geomult(derived: Derived) -> str | None:
+    got = [list(row) for row in derived.geomult]
     expected = [
         [1, 0, 0, 0, 0, 0],
         [1, 1, 0, 0, 0, 0],
@@ -410,34 +416,35 @@ def check_geomult(tables: SheafTables = TABLES) -> str | None:
     ]
     if got != expected:
         return f"geometric multiplicity matrix mismatch: {got}"
-    for i in range(6):
-        if got[i][i] != 1:
-            return "diagonal is not all ones"
     return None
 
 
-def check_kl_transpose(tables: SheafTables = TABLES) -> str | None:
-    if not sheaves.kl_check(tables):
+def check_kl_transpose(derived: Derived) -> str | None:
+    """Geometric multiplicities equal the transposed module multiplicities."""
+    geo, rep = derived.geomult, derived.tables.rep_multiplicity
+    if any(geo[i][j] != rep[j][i] for i in range(len(rep)) for j in range(len(rep))):
         return "geometric multiplicity matrix is not the transposed module matrix"
     return None
 
 
-def check_evs_zero_pattern(tables: SheafTables = TABLES) -> str | None:
-    if not sheaves.evs_zero_pattern_ok(tables):
-        return "a raw table entry lives above its support orbit"
+def check_evs_zero_pattern(derived: Derived) -> str | None:
+    """Raw rows vanish on strata above the support orbit."""
+    for obj in sheaves.SIMPLE_ORDER:
+        if any(stratum > obj.support.value for stratum in derived.tables.evs[obj]):
+            return "a raw table entry lives above its support orbit"
     return None
 
 
-def check_nevs_derivation(tables: SheafTables = TABLES) -> str | None:
+def check_nevs_derivation(derived: Derived) -> str | None:
     for obj in sheaves.SIMPLE_ORDER:
         try:
-            sheaves.nevs(obj, tables)
+            derived.nevs(obj)
         except sheaves.NEvsMismatch as exc:
             return str(exc)
     return None
 
 
-def check_nevs_diagonal(tables: SheafTables = TABLES) -> str | None:
+def check_nevs_diagonal(derived: Derived) -> str | None:
     diag = {
         sheaves.SimpleObject.IC1_C0: 0,
         sheaves.SimpleObject.IC1_C1: 1,
@@ -445,13 +452,13 @@ def check_nevs_diagonal(tables: SheafTables = TABLES) -> str | None:
         sheaves.SimpleObject.IC1_C3: 3,
     }
     for obj, stratum in diag.items():
-        if sheaves.nevs(obj, tables).get(stratum) != "one":
+        if derived.nevs(obj).get(stratum) != "one":
             return f"{obj.name}: normalised diagonal entry is not trivial"
     return None
 
 
-def check_fourier_involution(tables: SheafTables = TABLES) -> str | None:
-    mapping = sheaves.fourier_primal_map(tables)
+def check_fourier_involution(derived: Derived) -> str | None:
+    mapping = {obj: derived.fourier(obj)[1] for obj in sheaves.SIMPLE_ORDER}
     for obj, image in mapping.items():
         if mapping[image] is not obj:
             return f"fourier is not an involution at {obj.name}"
@@ -476,62 +483,62 @@ def check_local_system_rank_accounting() -> str | None:
 # --- packet checks ---------------------------------------------------------------
 
 
-def check_packets_match(tables: SheafTables = TABLES) -> str | None:
-    for psi in range(4):
-        got = packets.packet(psi, tables)
+def check_packets_match(derived: Derived) -> str | None:
+    for psi, got in enumerate(derived.packets):
         if got != packets.EXPECTED_PACKETS[psi]:
             return f"psi{psi}: packet {sorted(p.label() for p in got)}"
     return None
 
 
-def check_lpacket_containment(tables: SheafTables = TABLES) -> str | None:
-    for i in range(4):
-        if not packets.l_packet(i) <= packets.packet(i, tables):
+def check_lpacket_containment(derived: Derived) -> str | None:
+    for i, got in enumerate(derived.packets):
+        if not packets.l_packet(i) <= got:
             return f"phi{i}: L-packet not inside the packet"
     return None
 
 
-def check_supercuspidal_everywhere(tables: SheafTables = TABLES) -> str | None:
-    for psi in range(4):
-        if packets.Irreducible.PI3E not in packets.packet(psi, tables):
+def check_supercuspidal_everywhere(derived: Derived) -> str | None:
+    for psi, got in enumerate(derived.packets):
+        if packets.Irreducible.PI3E not in got:
             return f"psi{psi}: missing the supercuspidal member"
     return None
 
 
-def check_stable_characters(tables: SheafTables = TABLES) -> str | None:
-    for psi in range(4):
-        got = packets.stable_virtual_character(psi, tables).coefficients
-        if tuple(got) != packets.EXPECTED_STABLE[psi]:
-            return f"psi{psi}: coefficients {got}"
+def check_stable_characters(derived: Derived) -> str | None:
+    for psi, theta in enumerate(derived.stable):
+        if theta.coefficients != packets.EXPECTED_STABLE[psi]:
+            return f"psi{psi}: coefficients {theta.coefficients}"
     return None
 
 
-def check_change_of_basis(tables: SheafTables = TABLES) -> str | None:
-    got = packets.standard_module_change_of_basis(tables)
+def check_change_of_basis(derived: Derived) -> str | None:
+    got = derived.change_of_basis
     if got != packets.EXPECTED_CHANGE_OF_BASIS:
         return f"change of basis {got!r}"
-    for i in range(4):
-        for j in range(i):
-            if got[i, j] != 0:
-                return "matrix is not upper unitriangular"
-        if got[i, i] != 1:
-            return "matrix diagonal is not 1"
     return None
 
 
-def check_change_of_basis_roundtrip(tables: SheafTables = TABLES) -> str | None:
-    if not packets.change_of_basis_roundtrip_ok(tables):
+def check_change_of_basis_roundtrip(derived: Derived) -> str | None:
+    """Invert the change of basis and reproduce the Theta vectors."""
+    m = derived.change_of_basis
+    minv = invert(m)
+    basis_rows = derived.standard_rows
+    for i, theta in enumerate(derived.stable):
+        recovered = [sum(m[i, k] * basis_rows[k][j] for k in range(4)) for j in range(6)]
+        if recovered != list(theta.coefficients):
+            return "inverse does not round-trip the stable vectors"
+    if m @ minv != Matrix.identity(4):
         return "inverse does not round-trip the stable vectors"
     return None
 
 
-def check_stable_independence(tables: SheafTables = TABLES) -> str | None:
-    if packets.stable_basis_rank(tables) != 4:
+def check_stable_independence(derived: Derived) -> str | None:
+    if rank(Matrix.from_rows([theta.coefficients for theta in derived.stable])) != 4:
         return "the four stable characters are not linearly independent"
     return None
 
 
-def check_aubert(tables: SheafTables = TABLES) -> str | None:
+def check_aubert(derived: Derived) -> str | None:
     expected = {
         packets.Irreducible.PI0: packets.Irreducible.PI3,
         packets.Irreducible.PI1: packets.Irreducible.PI3R,
@@ -541,38 +548,38 @@ def check_aubert(tables: SheafTables = TABLES) -> str | None:
         packets.Irreducible.PI3E: packets.Irreducible.PI3E,
     }
     for pi, image in expected.items():
-        if packets.aubert(pi, tables) is not image:
-            return f"{pi.label()} -> {packets.aubert(pi, tables).label()}"
-        if packets.aubert(image, tables) is not pi:
+        if packets.aubert(pi, derived) is not image:
+            return f"{pi.label()} -> {packets.aubert(pi, derived).label()}"
+        if packets.aubert(image, derived) is not pi:
             return "involution failure"
     return None
 
 
-def check_aubert_packet_swap(tables: SheafTables = TABLES) -> str | None:
+def check_aubert_packet_swap(derived: Derived) -> str | None:
     for a, b in ((0, 3), (1, 2)):
-        image = {packets.aubert(pi, tables) for pi in packets.packet(a, tables)}
-        if image != packets.packet(b, tables):
+        image = {packets.aubert(pi, derived) for pi in derived.packets[a]}
+        if image != derived.packets[b]:
             return f"psi{a} does not map onto psi{b}"
     return None
 
 
-def check_temperedness_pattern(tables: SheafTables = TABLES) -> str | None:
-    p3 = packets.packet(3, tables)
-    if not all(pi.tempered for pi in p3):
+def check_temperedness_pattern(derived: Derived) -> str | None:
+    p = derived.packets
+    if not all(pi.tempered for pi in p[3]):
         return "packet 3 contains a non-tempered member"
-    chars3 = {packets.pairing_character(3, pi, tables) for pi in p3}
+    chars3 = {packets.pairing_character(3, pi, derived) for pi in p[3]}
     if chars3 != {"1", "rho", "eps"}:
         return "packet 3 pairing is not bijective onto the S3 dual"
     for psi in (0, 1, 2):
-        if all(pi.tempered for pi in packets.packet(psi, tables)):
+        if all(pi.tempered for pi in p[psi]):
             return f"psi{psi}: expected a non-tempered member"
-    vals1 = [packets.pairing_character(1, pi, tables) for pi in packets.packet(1, tables)]
+    vals1 = [packets.pairing_character(1, pi, derived) for pi in p[1]]
     if len(set(vals1)) == len(vals1):
         return "psi1 pairing is unexpectedly injective"
     spherical_vals = [
-        packets.pairing_character(psi, packets.Irreducible.PI0, tables)
+        packets.pairing_character(psi, packets.Irreducible.PI0, derived)
         for psi in range(4)
-        if packets.Irreducible.PI0 in packets.packet(psi, tables)
+        if packets.Irreducible.PI0 in p[psi]
     ]
     if any(v != "1" for v in spherical_vals):
         return "spherical member pairs non-trivially"
@@ -603,8 +610,6 @@ def check_cartan_matrices() -> str | None:
     dual = rootdata.cartan_matrix("dual")
     if g2 != [[2, -1], [-3, 2]] or dual != [[2, -3], [-1, 2]]:
         return "Cartan matrices are wrong"
-    if any(g2[i][j] != dual[j][i] for i in range(2) for j in range(2)):
-        return "the two Cartan matrices are not transposes"
     return None
 
 
@@ -626,8 +631,6 @@ def check_weight_spaces() -> str | None:
     sizes = [len(rootdata.weight_space(e)) for e in (-2, -1, 0, 1, 2)]
     if sizes != [1, 4, 2, 4, 1]:
         return f"weight partition sizes {sizes}"
-    if sum(sizes) != 12:
-        return "weights do not partition the twelve roots"
     return None
 
 
@@ -769,20 +772,21 @@ CHECKS: list[tuple[str, str, object]] = [
 ]
 
 # computed once from the plain functions: a tracer may later swap the CHECKS
-# entries for *args wrappers, whose signatures no longer name `tables`
+# entries for *args wrappers, whose signatures no longer name `derived`
 _TABLE_CHECKS = {
-    name for name, _, fn in CHECKS if "tables" in inspect.signature(fn).parameters
+    name for name, _, fn in CHECKS if "derived" in inspect.signature(fn).parameters
 }
 
 
-def run_checks(scope: str = "all", tables: SheafTables = TABLES) -> list[CheckResult]:
-    """Run every check in the scope; never stops early."""
+def run_checks(scope: str, derived: Derived) -> list[CheckResult]:
+    """Run every check in the scope ("all" or one scope) against the facts
+    derived from one table set; never stops early."""
     results = []
     for name, check_scope, fn in CHECKS:
         if scope != "all" and check_scope != scope:
             continue
         try:
-            witness = fn(tables) if name in _TABLE_CHECKS else fn()
+            witness = fn(derived) if name in _TABLE_CHECKS else fn()
         except Exception as exc:  # a raising check is a failing check
             witness = f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name, check_scope, witness is None, witness or ""))

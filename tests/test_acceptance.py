@@ -20,6 +20,7 @@ from g2cubics.cubics import (
     discriminant,
 )
 from g2cubics.linalg import Matrix, eval_q
+from g2cubics.packets import DERIVED
 from g2cubics.verify import (
     _has_repeated_root,
     _random_cubic,
@@ -123,22 +124,22 @@ def test_criterion_5_stabilizers():
 
 
 def test_criterion_6_stalk_solver():
-    solved = sheaves.solve_ic_stalk_ranks()
-    assert solved == sheaves.graded_stalk_totals()
-    assert sheaves.rhoe_equations_satisfied()
+    solved = sheaves.solve_ic_stalk_ranks(sheaves.TABLES)
+    assert solved == sheaves.graded_stalk_totals(sheaves.TABLES)
+    assert verify.check_rhoe_redundancy(DERIVED) is None
     _report(6, "cover system solves to the stalk table; rhoE rows redundant")
 
 
 def test_criterion_7_kazhdan_lusztig():
-    assert sheaves.kl_check()
+    assert verify.check_kl_transpose(DERIVED) is None
     _report(7, "geometric multiplicity matrix is the transposed module matrix")
 
 
 def test_criterion_8_microlocal_tables():
     for obj in sheaves.SIMPLE_ORDER:
-        assert sheaves.nevs_derived(obj) == sheaves.nevs(obj)
-    assert sheaves.evs_zero_pattern_ok()
-    mapping = sheaves.fourier_primal_map()
+        assert sheaves.nevs_derived(obj, sheaves.TABLES) == sheaves.nevs(obj, sheaves.TABLES)
+    assert verify.check_evs_zero_pattern(DERIVED) is None
+    mapping = {obj: DERIVED.fourier(obj)[1] for obj in sheaves.SIMPLE_ORDER}
     for obj, image in mapping.items():
         assert mapping[image] is obj
     expected_aubert = {
@@ -150,15 +151,15 @@ def test_criterion_8_microlocal_tables():
         packets.Irreducible.PI3E: packets.Irreducible.PI3E,
     }
     for pi, image in expected_aubert.items():
-        assert packets.aubert(pi) is image
+        assert packets.aubert(pi, DERIVED) is image
     _report(8, "normalised table derived; zero pattern; Fourier involution = Aubert")
 
 
 def test_criterion_9_packets_and_stable_characters():
     for psi in range(4):
-        assert packets.packet(psi) == packets.EXPECTED_PACKETS[psi]
-        assert packets.stable_virtual_character(psi).coefficients == packets.EXPECTED_STABLE[psi]
-    assert packets.standard_module_change_of_basis() == Matrix.from_rows(
+        assert DERIVED.packets[psi] == packets.EXPECTED_PACKETS[psi]
+        assert DERIVED.stable[psi].coefficients == packets.EXPECTED_STABLE[psi]
+    assert DERIVED.change_of_basis == Matrix.from_rows(
         [[1, 1, -3, 1], [0, 1, -2, 1], [0, 0, 1, -1], [0, 0, 0, 1]]
     )
     _report(9, "packets, stable coefficients and change-of-basis matrix match")
@@ -187,7 +188,7 @@ def test_criterion_11_formal_degree():
 
 
 def test_full_check_registry_is_green():
-    results = verify.run_checks("all")
+    results = verify.run_checks("all", DERIVED)
     failures = [r for r in results if not r.passed]
     assert not failures, failures
     assert len(results) >= 25

@@ -3,8 +3,10 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -137,6 +139,44 @@ def test_stabilizer_command(capsys):
     validate_payload(payload)
     code, _, err = run_cli(capsys, "stabilizer", "1", "0", "1", "0")
     assert code == INPUT_ERROR
+
+
+def _digits(n, seed):
+    rng = random.Random(seed)
+    return rng.randrange(10 ** (n - 1), 10**n)
+
+
+@pytest.mark.parametrize("n", [1200, 5000])
+def test_numeric_commands_past_the_int_str_digit_limit(capsys, n):
+    # CPython refuses int <-> str conversions beyond 4300 digits; the answers
+    # here need 1200 to 15000 digits and must still be exact
+    a, b, c, d = (_digits(n, seed) for seed in range(4))
+    dec = lambda v: str(Decimal(v))  # noqa: E731 - `decimal` has no digit limit
+    code, out, _ = run_cli(capsys, "--format", "json", "classify", *map(dec, (a, b, c, d)))
+    assert code == OK
+    payload = json.loads(out)
+    assert payload["r"] == [dec(v) for v in (a, b, c, d)]
+    assert payload["orbit"] == "C3"
+    validate_payload(payload)
+
+    code, out, _ = run_cli(capsys, "--format", "json", "pair", *map(dec, (a, b, c, d, d, c, b, a)))
+    assert code == OK
+    assert json.loads(out) == {"pairing": dec(a * d + 3 * b * c + 3 * c * b + d * a)}
+
+    t = a  # the cube of the line y - t x has coefficients (1, t, -t^2, t^3)
+    code, out, _ = run_cli(capsys, "--format", "json", "kernel", *map(dec, (1, t, -t * t, t**3)))
+    assert code == OK
+    payload = json.loads(out)
+    assert payload["dimension"] == 2
+    validate_payload(payload)
+
+    # x y (b x - a y): three rational lines, stabilizer S3
+    code, out, _ = run_cli(capsys, "--format", "json", "stabilizer", "0", dec(a), dec(-b), "0")
+    assert code == OK
+    payload = json.loads(out)
+    assert payload["component_group"] == "S3"
+    assert len(payload["generators"]) == 6
+    validate_payload(payload)
 
 
 def test_lambda_regular(capsys):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -157,6 +158,34 @@ def test_rational_serialization_roundtrip():
     assert format_rational(Fraction(4, 2)) == "2"
     with pytest.raises(ValueError):
         parse_rational("1.5")
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 20_000),
+    st.integers(1, 20_000),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+@example(4300, 1, False, random.Random(0))
+@example(4301, 4301, True, random.Random(0))
+@example(20_000, 8601, True, random.Random(1))
+def test_rational_round_trip_at_any_size(num_digits, den_digits, negative, rnd):
+    # the reference is `decimal`, whose int conversions have no digit limit
+    num = rnd.randrange(10 ** (num_digits - 1), 10**num_digits)
+    den = rnd.randrange(10 ** (den_digits - 1), 10**den_digits)
+    x = Fraction(-num if negative else num, den)
+    text = format_rational(x)
+    reference = ("-" if negative else "") + str(Decimal(abs(x.numerator)))
+    if x.denominator != 1:
+        reference += "/" + str(Decimal(x.denominator))
+    assert text == reference
+    assert parse_rational(text) == x
+    signed = f"{'-' if negative else '+'}{Decimal(num)}"
+    assert parse_rational(f" {signed}/{Decimal(den)} ") == x
+    with pytest.raises(ZeroDivisionError) as caught:
+        parse_rational(f"{signed}/0")
+    assert str(caught.value) == f"Fraction({'-' if negative else ''}{Decimal(num)}, 0)"
 
 
 def test_parse_rational_grammar():

@@ -4,6 +4,7 @@ import pytest
 
 from g2cubics.packets import (
     CLASS_SIZES,
+    DERIVED,
     EXPECTED_CHANGE_OF_BASIS,
     EXPECTED_PACKETS,
     EXPECTED_STABLE,
@@ -12,7 +13,6 @@ from g2cubics.packets import (
     NotInSpan,
     VirtualCharacter,
     aubert,
-    change_of_basis_roundtrip_ok,
     character_table,
     express_in_standard_modules,
     l_packet,
@@ -20,11 +20,11 @@ from g2cubics.packets import (
     llc_inverse,
     packet,
     pairing_character,
-    stable_basis_rank,
     stable_virtual_character,
     standard_module_change_of_basis,
 )
 from g2cubics.sheaves import SimpleObject
+from g2cubics.verify import check_change_of_basis_roundtrip, check_stable_independence
 
 
 def test_llc_bijection():
@@ -49,64 +49,67 @@ def test_flags():
 
 def test_packets_match_expected_table():
     for psi in range(4):
-        assert packet(psi) == EXPECTED_PACKETS[psi]
+        assert packet(psi, DERIVED) == EXPECTED_PACKETS[psi]
+        assert DERIVED.packets[psi] == EXPECTED_PACKETS[psi]
 
 
 def test_packet_examples():
-    assert packet(0) == {Irreducible.PI0, Irreducible.PI1, Irreducible.PI3E}
-    assert packet(3) == {Irreducible.PI3, Irreducible.PI3R, Irreducible.PI3E}
+    assert DERIVED.packets[0] == {Irreducible.PI0, Irreducible.PI1, Irreducible.PI3E}
+    assert DERIVED.packets[3] == {Irreducible.PI3, Irreducible.PI3R, Irreducible.PI3E}
     for psi in range(4):
-        assert Irreducible.PI3E in packet(psi)
+        assert Irreducible.PI3E in DERIVED.packets[psi]
 
 
 def test_l_packets_and_containment():
     assert l_packet(2) == {Irreducible.PI2}
     assert l_packet(3) == {Irreducible.PI3, Irreducible.PI3R, Irreducible.PI3E}
     for i in range(4):
-        assert l_packet(i) <= packet(i)
+        assert l_packet(i) <= DERIVED.packets[i]
 
 
 def test_pairing_character_examples():
-    assert pairing_character(2, Irreducible.PI3R) == "tau"
-    assert pairing_character(0, Irreducible.PI1) == "rho"
-    assert pairing_character(3, Irreducible.PI0) is None
+    assert pairing_character(2, Irreducible.PI3R, DERIVED) == "tau"
+    assert pairing_character(0, Irreducible.PI1, DERIVED) == "rho"
+    assert pairing_character(3, Irreducible.PI0, DERIVED) is None
     # the spherical member always pairs trivially
     for psi in range(4):
-        if Irreducible.PI0 in packet(psi):
-            assert pairing_character(psi, Irreducible.PI0) == "1"
+        if Irreducible.PI0 in DERIVED.packets[psi]:
+            assert pairing_character(psi, Irreducible.PI0, DERIVED) == "1"
 
 
 def test_stable_characters_match_expected():
     for psi in range(4):
-        assert stable_virtual_character(psi).coefficients == EXPECTED_STABLE[psi]
+        assert stable_virtual_character(psi, DERIVED).coefficients == EXPECTED_STABLE[psi]
+        assert DERIVED.stable[psi].coefficients == EXPECTED_STABLE[psi]
 
 
 def test_stable_character_signs():
-    assert stable_virtual_character(1).coefficients == (0, 1, -1, 0, 0, 1)
-    assert stable_virtual_character(3).coefficients == (0, 0, 0, 1, 2, 1)
-    assert stable_virtual_character(0).coefficients == (1, 2, 0, 0, 0, 1)
+    assert DERIVED.stable[1].coefficients == (0, 1, -1, 0, 0, 1)
+    assert DERIVED.stable[3].coefficients == (0, 0, 0, 1, 2, 1)
+    assert DERIVED.stable[0].coefficients == (1, 2, 0, 0, 0, 1)
     # parameters with trivial centralizer image have nonnegative coefficients
     for psi in (0, 3):
-        assert all(c >= 0 for c in stable_virtual_character(psi).coefficients)
+        assert all(c >= 0 for c in DERIVED.stable[psi].coefficients)
 
 
 def test_express_in_standard_modules():
-    theta0 = stable_virtual_character(0)
-    assert express_in_standard_modules(theta0) == (1, 1, -3, 1)
-    theta2 = stable_virtual_character(2)
-    assert express_in_standard_modules(theta2) == (0, 0, 1, -1)
-    theta3 = stable_virtual_character(3)
-    assert express_in_standard_modules(theta3) == (0, 0, 0, 1)
+    theta0 = DERIVED.stable[0]
+    assert express_in_standard_modules(theta0, DERIVED) == (1, 1, -3, 1)
+    theta2 = DERIVED.stable[2]
+    assert express_in_standard_modules(theta2, DERIVED) == (0, 0, 1, -1)
+    theta3 = DERIVED.stable[3]
+    assert express_in_standard_modules(theta3, DERIVED) == (0, 0, 0, 1)
 
 
 def test_express_rejects_vectors_outside_span():
     with pytest.raises(NotInSpan):
-        express_in_standard_modules(VirtualCharacter("irreducible", (0, 0, 0, 0, 1, 0)))
+        express_in_standard_modules(VirtualCharacter("irreducible", (0, 0, 0, 0, 1, 0)), DERIVED)
 
 
 def test_change_of_basis_matrix():
-    m = standard_module_change_of_basis()
+    m = standard_module_change_of_basis(DERIVED)
     assert m == EXPECTED_CHANGE_OF_BASIS
+    assert DERIVED.change_of_basis == EXPECTED_CHANGE_OF_BASIS
     for i in range(4):
         assert m[i, i] == 1
         for j in range(i):
@@ -114,25 +117,25 @@ def test_change_of_basis_matrix():
 
 
 def test_change_of_basis_roundtrip():
-    assert change_of_basis_roundtrip_ok()
+    assert check_change_of_basis_roundtrip(DERIVED) is None
 
 
 def test_stable_characters_are_independent():
-    assert stable_basis_rank() == 4
+    assert check_stable_independence(DERIVED) is None
 
 
 def test_aubert_involution():
-    assert aubert(Irreducible.PI0) is Irreducible.PI3
-    assert aubert(Irreducible.PI3E) is Irreducible.PI3E
-    assert aubert(Irreducible.PI2) is Irreducible.PI2
-    assert aubert(Irreducible.PI1) is Irreducible.PI3R
+    assert aubert(Irreducible.PI0, DERIVED) is Irreducible.PI3
+    assert aubert(Irreducible.PI3E, DERIVED) is Irreducible.PI3E
+    assert aubert(Irreducible.PI2, DERIVED) is Irreducible.PI2
+    assert aubert(Irreducible.PI1, DERIVED) is Irreducible.PI3R
     for pi in IRREDUCIBLE_ORDER:
-        assert aubert(aubert(pi)) is pi
+        assert aubert(aubert(pi, DERIVED), DERIVED) is pi
 
 
 def test_aubert_swaps_packets():
-    assert {aubert(pi) for pi in packet(1)} == packet(2)
-    assert {aubert(pi) for pi in packet(0)} == packet(3)
+    assert {aubert(pi, DERIVED) for pi in DERIVED.packets[1]} == DERIVED.packets[2]
+    assert {aubert(pi, DERIVED) for pi in DERIVED.packets[0]} == DERIVED.packets[3]
 
 
 def test_character_tables():
@@ -160,10 +163,12 @@ def test_character_orthogonality():
 
 
 def test_temperedness_pattern():
-    assert all(pi.tempered for pi in packet(3))
-    chars = {pairing_character(3, pi) for pi in packet(3)}
+    assert all(pi.tempered for pi in DERIVED.packets[3])
+    chars = {pairing_character(3, pi, DERIVED) for pi in DERIVED.packets[3]}
     assert chars == {"1", "rho", "eps"}
     for psi in (0, 1, 2):
-        assert any(not pi.tempered for pi in packet(psi))
-    values = [pairing_character(1, pi) for pi in sorted(packet(1), key=lambda p: p.value)]
+        assert any(not pi.tempered for pi in DERIVED.packets[psi])
+    values = [
+        pairing_character(1, pi, DERIVED) for pi in sorted(DERIVED.packets[1], key=lambda p: p.value)
+    ]
     assert len(set(values)) < len(values)  # psi1 pairing is not injective

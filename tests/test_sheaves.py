@@ -1,6 +1,7 @@
 import pytest
 
 from g2cubics.cubics import OrbitClass
+from g2cubics.packets import DERIVED, Derived
 from g2cubics.sheaves import (
     Cover,
     InconsistentSystem,
@@ -9,59 +10,57 @@ from g2cubics.sheaves import (
     SimpleObject,
     TABLES,
     default_tables,
-    evs,
-    evs_zero_pattern_ok,
-    fiber_cohomology_rank,
     fourier,
-    fourier_primal_map,
     geometric_multiplicity_matrix,
     graded_stalk_totals,
-    kl_check,
     nevs,
     nevs_derived,
-    pushforward_decomposition,
     recomputed_finite_fiber_counts,
-    rep_multiplicity_matrix,
-    rhoe_equations_satisfied,
     solve_ic_stalk_ranks,
     table_payload,
+)
+from g2cubics.verify import (
+    check_evs_zero_pattern,
+    check_fourier_involution,
+    check_kl_transpose,
+    check_rhoe_redundancy,
 )
 
 C0, C1, C2, C3 = OrbitClass.C0, OrbitClass.C1, OrbitClass.C2, OrbitClass.C3
 
 
 def test_fiber_rank_examples():
-    assert fiber_cohomology_rank(Cover.RHO1, C0) == 2
-    assert fiber_cohomology_rank(Cover.RHO3PP, C0) == 8
-    assert fiber_cohomology_rank(Cover.RHO3, C3) == 3
-    assert fiber_cohomology_rank(Cover.RHOE, C1) == 3
+    assert TABLES.fiber_ranks[Cover.RHO1][C0] == 2
+    assert TABLES.fiber_ranks[Cover.RHO3PP][C0] == 8
+    assert TABLES.fiber_ranks[Cover.RHO3][C3] == 3
+    assert TABLES.fiber_ranks[Cover.RHOE][C1] == 3
 
 
 def test_finite_fibers_recompute_from_line_combinatorics():
     for (cover, orbit), count in recomputed_finite_fiber_counts().items():
-        assert fiber_cohomology_rank(cover, orbit) == count
+        assert TABLES.fiber_ranks[cover][orbit] == count
 
 
 def test_pushforward_decompositions():
-    assert pushforward_decomposition(Cover.RHO1) == {
+    assert TABLES.decompositions[Cover.RHO1] == {
         (SimpleObject.IC1_C0, 0): 1,
         (SimpleObject.IC1_C1, 0): 1,
     }
-    assert pushforward_decomposition(Cover.RHO2) == {(SimpleObject.IC1_C2, 0): 1}
-    assert pushforward_decomposition(Cover.RHOE) == {
+    assert TABLES.decompositions[Cover.RHO2] == {(SimpleObject.IC1_C2, 0): 1}
+    assert TABLES.decompositions[Cover.RHOE] == {
         (SimpleObject.IC1_C3, 0): 1,
         (SimpleObject.ICE_C3, 0): 1,
         (SimpleObject.IC1_C1, 0): 2,
         (SimpleObject.IC1_C0, 0): 1,
     }
-    rho3pp = pushforward_decomposition(Cover.RHO3PP)
+    rho3pp = TABLES.decompositions[Cover.RHO3PP]
     assert rho3pp[(SimpleObject.ICR_C3, 0)] == 2
     assert rho3pp[(SimpleObject.IC1_C0, 2)] == 1
     assert rho3pp[(SimpleObject.IC1_C0, -2)] == 1
 
 
 def test_stalk_solver_examples():
-    ranks = solve_ic_stalk_ranks()
+    ranks = solve_ic_stalk_ranks(TABLES)
     assert ranks[(SimpleObject.IC1_C2, C0)] == 2
     assert ranks[(SimpleObject.ICE_C3, C2)] == 0
     for orbit in OrbitClass:
@@ -70,7 +69,7 @@ def test_stalk_solver_examples():
 
 
 def test_stalk_solver_matches_graded_totals():
-    assert solve_ic_stalk_ranks() == graded_stalk_totals()
+    assert solve_ic_stalk_ranks(TABLES) == graded_stalk_totals(TABLES)
 
 
 def test_stalk_solver_detects_corruption():
@@ -89,17 +88,18 @@ def test_stalk_solver_detects_corruption():
     bad3 = default_tables()
     bad3.fiber_ranks[Cover.RHO3PP][C1] = 2
     assert solve_ic_stalk_ranks(bad3)[(SimpleObject.ICE_C3, C1)] == 1
-    assert not rhoe_equations_satisfied(bad3)
+    assert check_rhoe_redundancy(Derived(bad3)) is not None
 
 
 def test_rhoe_equations_are_redundantly_satisfied():
-    assert rhoe_equations_satisfied()
+    assert check_rhoe_redundancy(DERIVED) is None
 
 
 def test_geometric_multiplicity_matrix():
-    m = geometric_multiplicity_matrix()
-    assert m[2] == [2, 1, 1, 0, 0, 0]
-    assert m[4] == [1, 0, 1, 0, 1, 0]
+    m = geometric_multiplicity_matrix(solve_ic_stalk_ranks(TABLES))
+    assert m == DERIVED.geomult
+    assert m[2] == (2, 1, 1, 0, 0, 0)
+    assert m[4] == (1, 0, 1, 0, 1, 0)
     assert all(m[i][i] == 1 for i in range(6))
     for i in range(6):
         for j in range(i + 1, 6):
@@ -107,44 +107,45 @@ def test_geometric_multiplicity_matrix():
 
 
 def test_rep_multiplicity_rows():
-    rep = rep_multiplicity_matrix()
-    assert rep[0] == [1, 1, 2, 1, 1, 0]
-    assert rep[2] == [0, 0, 1, 1, 1, 0]
-    assert rep[5] == [0, 0, 0, 0, 0, 1]
+    rep = TABLES.rep_multiplicity
+    assert rep[0] == (1, 1, 2, 1, 1, 0)
+    assert rep[2] == (0, 0, 1, 1, 1, 0)
+    assert rep[5] == (0, 0, 0, 0, 0, 1)
 
 
 def test_kl_transpose():
-    assert kl_check()
-    geo = geometric_multiplicity_matrix()
-    rep = rep_multiplicity_matrix()
-    assert geo == [[rep[j][i] for j in range(6)] for i in range(6)]
+    assert check_kl_transpose(DERIVED) is None
+    geo = DERIVED.geomult
+    rep = TABLES.rep_multiplicity
+    assert geo == tuple(tuple(rep[j][i] for j in range(6)) for i in range(6))
 
 
 def test_kl_sensitivity():
     import dataclasses
 
-    bad_rep = [list(row) for row in rep_multiplicity_matrix()]
+    bad_rep = [list(row) for row in TABLES.rep_multiplicity]
     bad_rep[0][2] = 99
     bad = dataclasses.replace(default_tables(), rep_multiplicity=tuple(tuple(r) for r in bad_rep))
-    assert not kl_check(bad)
+    assert check_kl_transpose(Derived(bad)) is not None
 
 
 def test_evs_rows():
-    assert evs(SimpleObject.IC1_C0) == {0: "one"}
-    assert evs(SimpleObject.IC1_C3) == {3: "one"}
-    assert evs(SimpleObject.IC1_C1) == {0: "R", 1: "T"}
-    assert evs(SimpleObject.ICE_C3) == {0: "E", 1: "T", 2: "one", 3: "E"}
+    assert TABLES.evs[SimpleObject.IC1_C0] == {0: "one"}
+    assert TABLES.evs[SimpleObject.IC1_C3] == {3: "one"}
+    assert TABLES.evs[SimpleObject.IC1_C1] == {0: "R", 1: "T"}
+    assert TABLES.evs[SimpleObject.ICE_C3] == {0: "E", 1: "T", 2: "one", 3: "E"}
 
 
 def test_nevs_rows():
-    assert nevs(SimpleObject.IC1_C2) == {1: "T", 2: "one"}
-    assert nevs(SimpleObject.ICR_C3) == {2: "T", 3: "R"}
-    assert nevs(SimpleObject.IC1_C0) == {0: "one"}
+    assert nevs(SimpleObject.IC1_C2, TABLES) == {1: "T", 2: "one"}
+    assert nevs(SimpleObject.ICR_C3, TABLES) == {2: "T", 3: "R"}
+    assert nevs(SimpleObject.IC1_C0, TABLES) == {0: "one"}
+    assert DERIVED.nevs(SimpleObject.IC1_C0) == {0: "one"}
 
 
 def test_nevs_is_derived_by_stratum_twist():
     for obj in SIMPLE_ORDER:
-        assert nevs_derived(obj) == nevs(obj)
+        assert nevs_derived(obj, TABLES) == nevs(obj, TABLES)
 
 
 def test_nevs_mismatch_on_corrupted_evs():
@@ -154,40 +155,41 @@ def test_nevs_mismatch_on_corrupted_evs():
 
 
 def test_evs_zero_pattern_respects_closure():
-    assert evs_zero_pattern_ok()
+    assert check_evs_zero_pattern(DERIVED) is None
     for obj in SIMPLE_ORDER:
-        for stratum in evs(obj):
+        for stratum in TABLES.evs[obj]:
             assert stratum <= obj.support.value
 
 
 def test_fourier_examples():
-    dual, primal = fourier(SimpleObject.IC1_C0)
+    dual, primal = fourier(SimpleObject.IC1_C0, TABLES)
     assert (dual.dual_orbit_index, dual.local_system) == (0, "triv")
     assert primal is SimpleObject.IC1_C3
-    _, primal = fourier(SimpleObject.ICR_C3)
+    _, primal = fourier(SimpleObject.ICR_C3, TABLES)
     assert primal is SimpleObject.IC1_C1
-    _, primal = fourier(SimpleObject.ICE_C3)
+    _, primal = fourier(SimpleObject.ICE_C3, TABLES)
     assert primal is SimpleObject.ICE_C3
-    _, primal = fourier(SimpleObject.IC1_C2)
+    _, primal = fourier(SimpleObject.IC1_C2, TABLES)
     assert primal is SimpleObject.IC1_C2
 
 
 def test_fourier_is_an_involution():
-    mapping = fourier_primal_map()
+    assert check_fourier_involution(DERIVED) is None
+    mapping = {obj: DERIVED.fourier(obj)[1] for obj in SIMPLE_ORDER}
     for obj, image in mapping.items():
         assert mapping[image] is obj
 
 
 def test_table_payload_shapes():
     for which in ("stalks", "geomult", "repmult", "evs", "nevs", "fourier"):
-        payload = table_payload(which)
+        payload = table_payload(which, DERIVED)
         assert len(payload["rows"]) == 6
         assert all(len(row) == len(payload["cols"]) for row in payload["entries"])
     with pytest.raises(ValueError):
-        table_payload("nope")
+        table_payload("nope", DERIVED)
 
 
 def test_table_payload_evs_entries():
-    payload = table_payload("evs")
+    payload = table_payload("evs", DERIVED)
     row = payload["entries"][SIMPLE_ORDER.index(SimpleObject.ICE_C3)]
     assert row == ["E", "T", "one", "E"]

@@ -3,9 +3,10 @@ import inspect
 import textwrap
 
 from g2cubics import verify
+from g2cubics.packets import Derived
 from g2cubics.sheaves import TABLES, SimpleObject
 
-TAMPERED = TABLES.with_flipped_evs(SimpleObject.IC1_C1, 1)
+TAMPERED = Derived(TABLES.with_flipped_evs(SimpleObject.IC1_C1, 1))
 
 
 def _failed(scope):
@@ -22,8 +23,8 @@ def test_tampered_evs_fail_every_packet_check_that_reads_the_tables():
 
 
 def test_tampered_evs_reach_wrapped_checks():
-    # a tracer may swap each check for a *args wrapper; the tables must
-    # still reach the checks that declare them
+    # a tracer may swap each check for a *args wrapper; the derived facts
+    # must still reach the checks that declare them
     def wrap(fn):
         return lambda *args, **kwargs: fn(*args, **kwargs)
 
@@ -36,12 +37,12 @@ def test_tampered_evs_reach_wrapped_checks():
 
 
 def test_every_table_check_reads_its_tables():
-    # a check that declares `tables` but never reads it runs under the table
+    # a check that declares `derived` but never reads it runs under the table
     # checks although no change to the tables can reach it
     def reads_tables(fn):
         body = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0].body
         return any(
-            isinstance(node, ast.Name) and node.id == "tables"
+            isinstance(node, ast.Name) and node.id == "derived"
             for statement in body
             for node in ast.walk(statement)
         )
