@@ -32,7 +32,7 @@ from .cubics import (
     rational_lines,
     to_plain,
 )
-from .linalg import Matrix, kernel_basis, rational
+from .linalg import Matrix, common_denominator, kernel_basis, rational
 
 
 class IrrationalSplitting(ValueError):
@@ -92,9 +92,9 @@ class StabilizerDescription:
 
 def pairing(r: BinaryCubic, s: DualCubic) -> Fraction:
     """The invariant pairing <r, s> = r0 s0 + 3 r1 s1 + 3 r2 s2 + r3 s3."""
-    r0, r1, r2, r3 = r.coeffs
-    s0, s1, s2, s3 = s.coeffs
-    return r0 * s0 + 3 * r1 * s1 + 3 * r2 * s2 + r3 * s3
+    (r0, r1, r2, r3), rden = common_denominator(r.coeffs)
+    (s0, s1, s2, s3), sden = common_denominator(s.coeffs)
+    return Fraction(r0 * s0 + 3 * r1 * s1 + 3 * r2 * s2 + r3 * s3, rden * sden)
 
 
 def dual_from_factors(v1, v2, v3, v4, v5, v6) -> DualCubic:
@@ -110,29 +110,31 @@ def pairing_factored(r: BinaryCubic, v1, v2, v3, v4, v5, v6) -> Fraction:
     Equals (1/6) (v1 v2) . Hess(r)|_{y=v3, x=v4} . (v5 v6)^t, with the Hessian
     in the (y, x) variable order; symmetric in the three factors.
     """
-    v1, v2 = rational(v1), rational(v2)
-    v3, v4 = rational(v3), rational(v4)
-    v5, v6 = rational(v5), rational(v6)
-    r0, r1, r2, r3 = r.coeffs
-    # Hess(r) = [[r_yy, r_yx], [r_xy, r_xx]] at (y, x) = (v3, v4)
-    ryy = 6 * r0 * v3 - 6 * r1 * v4
-    ryx = -6 * r1 * v3 - 6 * r2 * v4
-    rxx = -6 * r2 * v3 - 6 * r3 * v4
+    (r0, r1, r2, r3), rden = common_denominator(r.coeffs)
+    (v1, v2), den12 = common_denominator((rational(v1), rational(v2)))
+    (v3, v4), den34 = common_denominator((rational(v3), rational(v4)))
+    (v5, v6), den56 = common_denominator((rational(v5), rational(v6)))
+    # Hess(r) / 6 = [[r_yy, r_yx], [r_xy, r_xx]] / 6 at (y, x) = (v3, v4)
+    ryy = r0 * v3 - r1 * v4
+    ryx = -r1 * v3 - r2 * v4
+    rxx = -r2 * v3 - r3 * v4
     w1 = v1 * ryy + v2 * ryx
     w2 = v1 * ryx + v2 * rxx
-    return (w1 * v5 + w2 * v6) / 6
+    return Fraction(w1 * v5 + w2 * v6, rden * den12 * den34 * den56)
 
 
 def moment(r: BinaryCubic, s: DualCubic) -> Matrix:
     """The 2x2 moment map [r, s]; its vanishing defines the conormal variety."""
-    r0, r1, r2, r3 = r.coeffs
-    s0, s1, s2, s3 = s.coeffs
-    return Matrix.from_rows(
-        [
-            [r0 * s0 + 2 * r1 * s1 + r2 * s2, -r1 * s0 + 2 * r2 * s1 + r3 * s2],
-            [-r0 * s1 + 2 * r1 * s2 + r2 * s3, r1 * s1 + 2 * r2 * s2 + r3 * s3],
-        ]
-    )
+    (r0, r1, r2, r3), rden = common_denominator(r.coeffs)
+    (s0, s1, s2, s3), sden = common_denominator(s.coeffs)
+    den = rden * sden
+    entries = [
+        r0 * s0 + 2 * r1 * s1 + r2 * s2,
+        -r1 * s0 + 2 * r2 * s1 + r3 * s2,
+        -r0 * s1 + 2 * r1 * s2 + r2 * s3,
+        r1 * s1 + 2 * r2 * s2 + r3 * s3,
+    ]
+    return Matrix(2, 2, [Fraction(e, den) for e in entries])
 
 
 def moment_matrix_of(r: BinaryCubic) -> Matrix:

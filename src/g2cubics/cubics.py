@@ -14,9 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import gcd, isqrt
 
-from .linalg import Matrix, format_rational, rational
+from .linalg import Matrix, common_denominator, format_rational, rational
 
 
 class SingularGroupElement(ValueError):
@@ -36,34 +36,38 @@ class ZeroCubic(ValueError):
 # coefficient of y^(d-i)*x^i at index i.
 
 
-def to_plain(coeffs) -> list[Fraction]:
-    r0, r1, r2, r3 = (rational(c) for c in coeffs)
+def to_plain(coeffs) -> list:
+    """Plain-basis coefficients of a twisted 4-vector; ints stay ints."""
+    r0, r1, r2, r3 = coeffs
     return [r0, -3 * r1, -3 * r2, -r3]
 
 
-def from_plain(plain) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    a0, a1, a2, a3 = (rational(c) for c in plain)
-    return (a0, -a1 / 3, -a2 / 3, -a3)
+def from_plain(plain, den: int = 1) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Twisted coefficients of the plain-basis cubic plain / den, one Fraction
+    per coefficient; plain holds ints or Fractions."""
+    a0, a1, a2, a3 = plain
+    return Fraction(a0, den), Fraction(a1, -3 * den), Fraction(a2, -3 * den), Fraction(a3, -den)
 
 
 def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    (p, pden), (q, qden) = common_denominator(p), common_denominator(q)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return out
+    den = pden * qden
+    return [Fraction(v, den) for v in out]
 
 
-def poly_dx(p) -> list[Fraction]:
-    """d/dx of a homogeneous polynomial in the plain basis."""
+def poly_dx(p: list) -> list:
+    """d/dx of a homogeneous polynomial in the plain basis (ints stay ints)."""
+    return [p[i] * i for i in range(1, len(p))]
+
+
+def poly_dy(p: list) -> list:
+    """d/dy of a homogeneous polynomial in the plain basis (ints stay ints)."""
     d = len(p) - 1
-    return [rational(p[i]) * i for i in range(1, d + 1)]
-
-
-def poly_dy(p) -> list[Fraction]:
-    """d/dy of a homogeneous polynomial in the plain basis."""
-    d = len(p) - 1
-    return [rational(p[i]) * (d - i) for i in range(d)]
+    return [p[i] * (d - i) for i in range(d)]
 
 
 def divide_by_form(p: list[Fraction], u1: Fraction, u2: Fraction):
@@ -186,17 +190,26 @@ class GroupElement:
     def diagonal(cls, a, d) -> "GroupElement":
         return cls(a, 0, 0, d)
 
-    def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
+    def integer_entries(self) -> tuple[int, int, int, int, int, int]:
+        """(a, b, c, d, den, det) over Python ints: self = [[a, b], [c, d]] / den
+        and det = ad - bc, so that det(self) = det / den^2."""
+        (a, b, c, d), den = common_denominator((self.a, self.b, self.c, self.d))
+        return a, b, c, d, den, a * d - b * c
 
-    def require_invertible(self) -> None:
-        if self.det() == 0:
+    def det(self) -> Fraction:
+        *_, den, det = self.integer_entries()
+        return Fraction(det, den * den)
+
+    def require_invertible(self) -> tuple[int, int, int, int, int, int]:
+        """Raise on a singular element; otherwise return `integer_entries()`."""
+        entries = self.integer_entries()
+        if entries[5] == 0:
             raise SingularGroupElement(f"{self} has determinant 0")
+        return entries
 
     def inverse(self) -> "GroupElement":
-        self.require_invertible()
-        dt = self.det()
-        return GroupElement(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
+        a, b, c, d, den, det = self.require_invertible()
+        return GroupElement(*(Fraction(e * den, det) for e in (d, -b, -c, a)))
 
     def transpose(self) -> "GroupElement":
         return GroupElement(self.a, self.c, self.b, self.d)
@@ -281,39 +294,24 @@ def evaluate(r: BinaryCubic | DualCubic, x, y) -> Fraction:
     return r0 * y**3 - 3 * r1 * y**2 * x - 3 * r2 * y * x**2 - r3 * x**3
 
 
-def _substitute(plain: list[Fraction], h: GroupElement, scale: Fraction) -> list[Fraction]:
-    """Expand scale * p((x, y) h) for a homogeneous polynomial in the plain basis.
+def _substitute(plain: list[int], a: int, b: int, c: int, d: int) -> list[int]:
+    """Expand p((x, y) [[a, b], [c, d]]) over Python ints, for a homogeneous
+    polynomial p with integer coefficients in the plain basis.
 
-    Denominators of p and of h are cleared once, the expansion runs over
-    Python ints, and one Fraction per output coefficient is built at the end.
+    The substitution is x |-> X = a x + c y, y |-> Y = b x + d y, and
+    p(X, Y) = sum_i p_i Y^(deg-i) X^i is expanded by homogeneous Horner:
+    r = p_deg, then r = X r + p_i Y^(deg-i) for i = deg-1 down to 0, with
+    the powers of Y built along the way.
     """
-    d = len(plain) - 1
-    entries = (h.a, h.b, h.c, h.d)
-    hden = lcm(*(e.denominator for e in entries))
-    a, b, c, dd = (e.numerator * (hden // e.denominator) for e in entries)
-    pden = lcm(*(e.denominator for e in plain))
-    # x |-> a x + c y, y |-> b x + d y
-    xs = _linear_powers(c, a, d)
-    ys = _linear_powers(dd, b, d)
-    out = [0] * (d + 1)
-    for i, coeff in enumerate(plain):  # term y^(d-i) x^i
-        if coeff == 0:
-            continue
-        coeff = coeff.numerator * (pden // coeff.denominator)
-        for j, yc in enumerate(ys[d - i]):
-            for k, xc in enumerate(xs[i]):
-                out[j + k] += coeff * yc * xc
-    den = pden * hden**d * scale.denominator
-    return [Fraction(v * scale.numerator, den) for v in out]
-
-
-def _linear_powers(ycoeff: int, xcoeff: int, d: int) -> list[list[int]]:
-    """Plain-basis (ycoeff*y + xcoeff*x)^k for k = 0..d, by the binomial theorem."""
-    ys, xs = [1], [1]
-    for _ in range(d):
-        ys.append(ys[-1] * ycoeff)
-        xs.append(xs[-1] * xcoeff)
-    return [[comb(k, j) * ys[k - j] * xs[j] for j in range(k + 1)] for k in range(d + 1)]
+    ypow, r = [1], [plain[-1]]
+    for p in reversed(plain[:-1]):
+        ypow = [d * ypow[0], *[d * ypow[k] + b * ypow[k - 1] for k in range(1, len(ypow))], b * ypow[-1]]
+        r = [
+            c * r[0] + p * ypow[0],
+            *[c * r[k] + a * r[k - 1] + p * ypow[k] for k in range(1, len(r))],
+            a * r[-1] + p * ypow[-1],
+        ]
+    return r
 
 
 def act(h: GroupElement, r: BinaryCubic) -> BinaryCubic:
@@ -321,33 +319,43 @@ def act(h: GroupElement, r: BinaryCubic) -> BinaryCubic:
 
     Implemented by polynomial substitution and expansion; the closed-form
     matrix of the same action lives in `act_matrix` and the two are kept as
-    independent routes on purpose.
+    independent routes on purpose.  With h = H / hden and r = R / rden over
+    the integers, det(h) = det(H) / hden^2 and the expansion of R((x, y) H)
+    carries hden^3, so the plain-basis result is R((x, y) H) / (det(H) rden hden).
     """
-    h.require_invertible()
-    return BinaryCubic(*from_plain(_substitute(to_plain(r.coeffs), h, 1 / h.det())))
+    a, b, c, d, hden, det = h.require_invertible()
+    nums, rden = common_denominator(r.coeffs)
+    return BinaryCubic(*from_plain(_substitute(to_plain(nums), a, b, c, d), det * rden * hden))
 
 
 def act_matrix(h: GroupElement) -> Matrix:
-    """The 4x4 matrix of the twisted action on coefficient vectors."""
-    h.require_invertible()
-    a, b, c, d = h.a, h.b, h.c, h.d
-    dt = h.det()
+    """The 4x4 matrix of the twisted action on coefficient vectors.
+
+    The closed-form entries are cubic in h = H / hden, so over the integers
+    each is its value at H divided by det(H) hden.
+    """
+    a, b, c, d, hden, det = h.require_invertible()
     raw = [
         [d**3, -3 * c * d**2, -3 * c**2 * d, -(c**3)],
         [-b * d**2, d * (a * d + 2 * b * c), c * (2 * a * d + b * c), a * c**2],
         [-(b**2) * d, b * (2 * a * d + b * c), a * (a * d + 2 * b * c), a**2 * c],
         [-(b**3), 3 * a * b**2, 3 * a**2 * b, a**3],
     ]
-    return Matrix.from_rows([[e / dt for e in row] for row in raw])
+    den = det * hden
+    return Matrix(4, 4, [Fraction(e, den) for row in raw for e in row])
 
 
 def act_dual(h: GroupElement, s: DualCubic) -> DualCubic:
-    """The contragredient twisted action (h.s)(x, y) = det(h) s((x, y) t(h^{-1}))."""
-    h.require_invertible()
-    # t(h^{-1}) = adj / det(h) with adj = [[d, -c], [-b, a]], and s is cubic:
-    # det(h) s((x, y) adj / det(h)) = s((x, y) adj) / det(h)^2
-    adj = GroupElement(h.d, -h.c, -h.b, h.a)
-    return DualCubic(*from_plain(_substitute(to_plain(s.coeffs), adj, 1 / h.det() ** 2)))
+    """The contragredient twisted action (h.s)(x, y) = det(h) s((x, y) t(h^{-1})).
+
+    t(h^{-1}) = adj / det(h) with adj = [[d, -c], [-b, a]], and s is cubic:
+    det(h) s((x, y) adj / det(h)) = s((x, y) adj) / det(h)^2.  Over the
+    integers (h = H / hden, s = S / sden) that is S((x, y) adj(H)) hden / (det(H)^2 sden).
+    """
+    a, b, c, d, hden, det = h.require_invertible()
+    nums, sden = common_denominator(s.coeffs)
+    plain = [hden * v for v in _substitute(to_plain(nums), d, -c, -b, a)]
+    return DualCubic(*from_plain(plain, det * det * sden))
 
 
 def hessian_quadratic(r: BinaryCubic | DualCubic):
@@ -356,27 +364,39 @@ def hessian_quadratic(r: BinaryCubic | DualCubic):
     This equals one quarter of det Hess(r); the factor is pinned by an
     expansion oracle in the test-suite.
     """
-    r0, r1, r2, r3 = r.coeffs
-    d0 = -9 * (r2 * r0 + r1 * r1)
-    d1 = -9 * (r0 * r3 + r1 * r2)
-    d2 = 9 * (r1 * r3 - r2 * r2)
-    return d0, d1, d2
+    nums, den = common_denominator(r.coeffs)
+    den *= den
+    d0, d1, d2 = _hessian_integers(nums)
+    return Fraction(d0, den), Fraction(d1, den), Fraction(d2, den)
+
+
+def _hessian_integers(nums: list[int]) -> tuple[int, int, int]:
+    """The Hessian quadratic of R = (r0, r1, r2, r3) over the integers; for
+    r = R / den its coefficients are these divided by den^2."""
+    r0, r1, r2, r3 = nums
+    return -9 * (r2 * r0 + r1 * r1), -9 * (r0 * r3 + r1 * r2), 9 * (r1 * r3 - r2 * r2)
 
 
 def discriminant(r: BinaryCubic | DualCubic) -> Fraction:
     """Discriminant of the Hessian quadratic; zero iff r has a repeated root."""
-    d0, d1, d2 = hessian_quadratic(r)
-    return d1 * d1 - 4 * d0 * d2
+    nums, den = common_denominator(r.coeffs)
+    d0, d1, d2 = _hessian_integers(nums)
+    return Fraction(d1 * d1 - 4 * d0 * d2, den**4)
 
 
 def classify(r: BinaryCubic | DualCubic) -> OrbitClass:
-    """Orbit class from the two rational invariants only (no factoring)."""
-    if r.is_zero():
+    """Orbit class from the two rational invariants only (no factoring).
+
+    Both invariants are tested for zero on r's integer numerators: a common
+    denominator does not change which of them vanish.
+    """
+    nums, _ = common_denominator(r.coeffs)
+    if not any(nums):
         return OrbitClass.C0
-    d0, d1, d2 = hessian_quadratic(r)
-    if d0 == 0 and d1 == 0 and d2 == 0:
+    d0, d1, d2 = _hessian_integers(nums)
+    if not (d0 or d1 or d2):
         return OrbitClass.C1
-    if d1 * d1 - 4 * d0 * d2 == 0:
+    if d1 * d1 == 4 * d0 * d2:
         return OrbitClass.C2
     return OrbitClass.C3
 
@@ -461,8 +481,7 @@ def _simple_rational_lines(p: list[Fraction]) -> list[Line]:
         g.pop()
     while g[0] == 0:
         g.pop(0)
-    den = lcm(*(c.denominator for c in g))
-    g = [c.numerator * (den // c.denominator) for c in g]
+    g, _ = common_denominator(g)
     content = gcd(*g)
     g = [c // content for c in g]
     # t = s/lead makes lead^(n-1) g(s/lead) monic with integer roots |s| <= |g0*lead|

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -34,6 +34,19 @@ def rational(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the Fractions `values` over their least common
+    denominator: value i equals nums[i] / den.
+
+    The exact-arithmetic kernels clear denominators with this once, run
+    their formula over Python ints and build one Fraction per output.
+    """
+    den = lcm(*[v.denominator for v in values])
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 _RATIONAL = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
@@ -166,23 +179,28 @@ class Matrix:
         return Matrix(self.rows, self.cols, [c * e for e in self._entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        # each row of self and each column of other over its own denominator,
+        # so one large denominator does not inflate every product
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        rows = [common_denominator(self.row(i)) for i in range(self.rows)]
+        cols = [common_denominator(other._entries[j :: other.cols]) for j in range(other.cols)]
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other[k, j] for k in range(self.cols)), Fraction(0)))
+        for ri, rden in rows:
+            for cj, cden in cols:
+                out.append(Fraction(sum(x * y for x, y in zip(ri, cj)), rden * cden))
         return Matrix(self.rows, other.cols, out)
 
     def matvec(self, v: Sequence) -> list[Fraction]:
         v = [rational(x) for x in v]
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return [
-            sum((self[i, k] * v[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        ]
+        vn, vden = common_denominator(v)
+        out = []
+        for i in range(self.rows):
+            ri, rden = common_denominator(self.row(i))
+            out.append(Fraction(sum(x * y for x, y in zip(ri, vn)), rden * vden))
+        return out
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -192,7 +210,8 @@ class Matrix:
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+        nums, den = common_denominator([self[i, i] for i in range(self.rows)])
+        return Fraction(sum(nums), den)
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self._entries)
@@ -395,17 +414,9 @@ class Poly:
         """Write self = content * primitive with integer primitive coefficients."""
         if self.is_zero():
             return Fraction(0), Poly()
-        denom_lcm = 1
-        for c in self.coeffs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [c * denom_lcm for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c.numerator))
-        content = Fraction(g, denom_lcm)
-        if self.coeffs[-1] < 0:
-            content = -content
-        return content, Poly([c / content for c in self.coeffs])
+        ints, den = common_denominator(self.coeffs)
+        g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+        return Fraction(g, den), Poly([c // g for c in ints])
 
     def __repr__(self):
         if self.is_zero():
@@ -423,15 +434,37 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _primitive(coeffs: list[int]) -> list[int]:
+    """An integer coefficient list divided by its content; [] stays []."""
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic-normalized polynomial gcd over the rationals."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    lead = a.coeffs[-1]
-    return Poly([c / lead for c in a.coeffs])
+    """Monic-normalized polynomial gcd over the rationals.
+
+    Both inputs are cleared to primitive integer polynomials and reduced by
+    the primitive pseudo-remainder sequence over Python ints; only the
+    final gcd is divided by its leading coefficient.
+    """
+    p = _primitive(common_denominator(a.coeffs)[0])
+    q = _primitive(common_denominator(b.coeffs)[0])
+    while q:
+        r, lead, n = p, q[-1], len(q)
+        while len(r) >= n:  # one pseudo-division step: cancel r's leading term
+            top, shift = r[-1], len(r) - n
+            g = gcd(top, lead)
+            rscale, qscale = lead // g, top // g
+            r = [c * rscale for c in r]
+            for j, c in enumerate(q):
+                r[shift + j] -= qscale * c
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        p, q = q, _primitive(r)
+    if not p:
+        return Poly()
+    return Poly([Fraction(c, p[-1]) for c in p])
 
 
 class RationalFunctionQ:

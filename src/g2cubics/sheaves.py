@@ -15,6 +15,7 @@ import enum
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .cubics import (
@@ -190,13 +191,13 @@ FOURIER_DUAL: dict[SimpleObject, tuple[int, str]] = {
 class SheafTables:
     """The encoded primary-source data, swappable for sensitivity tests."""
 
-    evs: dict
-    nevs: dict
-    fiber_ranks: dict
-    decompositions: dict
-    graded_stalks: dict
+    evs: Mapping
+    nevs: Mapping
+    fiber_ranks: Mapping
+    decompositions: Mapping
+    graded_stalks: Mapping
     rep_multiplicity: tuple
-    fourier_dual: dict
+    fourier_dual: Mapping
 
     def with_flipped_evs(self, obj: SimpleObject, stratum: int) -> "SheafTables":
         """Toggle one raw-table entry (one <-> T); a corruption harness."""
@@ -221,7 +222,27 @@ def default_tables() -> SheafTables:
     )
 
 
-TABLES = default_tables()
+def _read_only(value):
+    """A read-only copy of a nested table field: dicts become mapping proxies
+    and lists tuples, all the way down."""
+    if isinstance(value, dict):
+        return MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_read_only(v) for v in value)
+    return value
+
+
+# the shipped tables, shared by every consumer in the process, so no caller
+# can write them; harnesses that corrupt tables start from default_tables()
+TABLES = SheafTables(
+    evs=_read_only(EVS_TABLE),
+    nevs=_read_only(NEVS_TABLE),
+    fiber_ranks=_read_only(FIBER_RANKS),
+    decompositions=_read_only(DECOMPOSITIONS),
+    graded_stalks=_read_only(GRADED_STALKS),
+    rep_multiplicity=_read_only(REP_MULTIPLICITY),
+    fourier_dual=_read_only(FOURIER_DUAL),
+)
 
 
 # -- fiber ranks ---------------------------------------------------------------

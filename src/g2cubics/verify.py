@@ -37,7 +37,7 @@ from .cubics import (
     poly_dy,
     to_plain,
 )
-from .linalg import Matrix, Poly, eval_q, invert, poly_gcd, rank, rational
+from .linalg import Matrix, Poly, common_denominator, eval_q, invert, poly_gcd, rank
 from .packets import Derived
 
 
@@ -49,10 +49,16 @@ class CheckResult:
     witness: str = ""
 
 
+# every value _random_fraction can draw, built once: num/den for num in -4..4
+# and den in 1, 2, 3
+_RANDOM_DENOMINATORS = (1, 1, 1, 2, 3)
+_RANDOM_FRACTIONS = {(n, d): Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)}
+
+
 def _random_fraction(rng: random.Random) -> Fraction:
     num = rng.randint(-4, 4)
-    den = rng.choice([1, 1, 1, 2, 3])
-    return Fraction(num, den)
+    den = rng.choice(_RANDOM_DENOMINATORS)
+    return _RANDOM_FRACTIONS[num, den]
 
 
 def _random_cubic(rng: random.Random) -> BinaryCubic:
@@ -74,8 +80,7 @@ def _gcd_poly(p, q):
     """Homogeneous gcd returned as a plain-basis polynomial."""
     # strip the x- and y-powers, take the univariate gcd, reassemble
     def split(p):
-        p = [rational(c) for c in p]
-        if all(c == 0 for c in p):
+        if not any(p):
             return None
         lead = next(i for i, c in enumerate(p) if c != 0)
         tail = next(i for i, c in enumerate(reversed(p)) if c != 0)
@@ -83,20 +88,23 @@ def _gcd_poly(p, q):
 
     sp, sq = split(p), split(q)
     if sp is None:
-        return [rational(c) for c in q]
+        return list(q)
     if sq is None:
-        return [rational(c) for c in p]
+        return list(p)
     xp, yp, a = sp
     xq, yq, b = sq
     core = list(poly_gcd(Poly(a), Poly(b)).coeffs)
     gx, gy = min(xp, xq), min(yp, yq)
-    return [Fraction(0)] * gx + core + [Fraction(0)] * gy
+    return [0] * gx + core + [0] * gy
 
 
 def _has_repeated_root(r: BinaryCubic) -> bool:
-    """Brute-force oracle: gcd(r, dr/dx, dr/dy) is nonconstant."""
-    p = to_plain(r.coeffs)
-    if all(c == 0 for c in p):
+    """Brute-force oracle: gcd(r, dr/dx, dr/dy) is nonconstant.
+
+    It runs on r's integer numerators, which have the same roots as r.
+    """
+    p = to_plain(common_denominator(r.coeffs)[0])
+    if not any(p):
         return True
     g = _gcd_poly(_gcd_poly(p, poly_dx(p)), poly_dy(p))
     return len(g) - 1 > 0

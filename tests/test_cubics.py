@@ -23,11 +23,10 @@ from g2cubics.cubics import (
     evaluate,
     hessian_quadratic,
     multiplicity_structure,
-    poly_mul,
     rational_lines,
     to_plain,
 )
-from g2cubics.linalg import Matrix
+from g2cubics.linalg import Matrix, common_denominator
 
 
 def rng_cubic(rng, span=4):
@@ -99,6 +98,15 @@ def test_act_matrix_is_multiplicative():
         assert act_matrix(h1 * h2) == act_matrix(h1) @ act_matrix(h2)
 
 
+def fraction_poly_mul(p, q):
+    """Plain-basis product over Fractions, as a reference."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def fraction_substitute(plain, h):
     """p((x, y) h) expanded term by term over Fractions, as a reference."""
     xs, ys = [h.c, h.a], [h.d, h.b]  # images of x and y, (y-coeff, x-coeff)
@@ -107,9 +115,9 @@ def fraction_substitute(plain, h):
     for i, coeff in enumerate(plain):
         term = [Fraction(1)]
         for _ in range(d - i):
-            term = poly_mul(term, ys)
+            term = fraction_poly_mul(term, ys)
         for _ in range(i):
-            term = poly_mul(term, xs)
+            term = fraction_poly_mul(term, xs)
         for k, t in enumerate(term):
             out[k] += coeff * t
     return out
@@ -127,8 +135,12 @@ def test_integer_substitution_matches_fraction_expansion():
         plain = [entry(digits) for _ in range(4)]
         if rng.random() < 0.2:
             plain[rng.randrange(4)] = Fraction(0)
-        scale = entry(digits) or Fraction(1)
-        assert _substitute(plain, h, scale) == [scale * c for c in fraction_substitute(plain, h)]
+        # the integer expansion of P((x, y) H) for p = P / pden, h = H / hden
+        # carries pden * hden^3
+        nums, pden = common_denominator(plain)
+        a, b, c, d, hden, _ = h.integer_entries()
+        got = [Fraction(v, pden * hden**3) for v in _substitute(nums, a, b, c, d)]
+        assert got == fraction_substitute(plain, h)
 
 
 def test_act_dual_identity_and_scalars():

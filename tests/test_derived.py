@@ -87,3 +87,37 @@ def test_cached_values_are_read_only():
     assert [d.nevs(o) for o in SIMPLE_ORDER] == [fresh.nevs(o) for o in SIMPLE_ORDER]
     assert (d.packets, d.stable, d.standard_rows) == (fresh.packets, fresh.stable, fresh.standard_rows)
     assert d.change_of_basis == fresh.change_of_basis
+
+
+def test_shipped_tables_are_read_only():
+    with pytest.raises(TypeError):
+        TABLES.evs[SimpleObject.IC1_C1][1] = "one"
+    with pytest.raises(TypeError):
+        TABLES.evs[SimpleObject.IC1_C1] = {}
+    with pytest.raises(TypeError):
+        TABLES.fiber_ranks[sheaves.Cover.RHO1][OrbitClass.C0] = 3
+    with pytest.raises(TypeError):
+        TABLES.decompositions[sheaves.Cover.RHO1][(SimpleObject.IC1_C0, 0)] = 2
+    with pytest.raises(AttributeError):
+        TABLES.graded_stalks[(SimpleObject.IC1_C0, OrbitClass.C0)].append((2, 1))
+    with pytest.raises(TypeError):
+        TABLES.nevs[SimpleObject.IC1_C0][0] = "T"
+    with pytest.raises(TypeError):
+        TABLES.fourier_dual[SimpleObject.IC1_C0] = (3, "sign")
+    # the harnesses still get fresh, writable copies
+    tables = sheaves.default_tables()
+    tables.evs[SimpleObject.IC1_C1][1] = "one"
+    assert sheaves.default_tables().evs[SimpleObject.IC1_C1][1] == "T"
+
+
+def test_shared_facts_equal_those_of_fresh_tables():
+    fresh = Derived(sheaves.default_tables())
+    shared = packets.DERIVED
+    assert dict(shared.stalk_ranks) == dict(fresh.stalk_ranks)
+    assert shared.geomult == fresh.geomult
+    assert [shared.nevs(o) for o in SIMPLE_ORDER] == [fresh.nevs(o) for o in SIMPLE_ORDER]
+    assert [shared.fourier(o) for o in SIMPLE_ORDER] == [fresh.fourier(o) for o in SIMPLE_ORDER]
+    assert (shared.packets, shared.stable, shared.standard_rows) == (
+        fresh.packets, fresh.stable, fresh.standard_rows
+    )
+    assert shared.change_of_basis == fresh.change_of_basis

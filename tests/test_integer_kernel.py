@@ -1,0 +1,365 @@
+"""Differential tests of the integer kernel.
+
+Each exact-arithmetic routine that clears denominators and runs over Python
+ints is compared with a plain Fraction body of the same formula, kept here
+as the reference: at 1- to 1000-digit numerators and denominators, with zero
+coefficients and non-integer entries. A singular group element must raise
+the same exception with the same message on both sides.
+"""
+
+import re
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from g2cubics import linalg, rootdata
+from g2cubics.conormal import moment, pairing, pairing_factored
+from g2cubics.cubics import (
+    BinaryCubic,
+    DualCubic,
+    GroupElement,
+    OrbitClass,
+    SingularGroupElement,
+    act,
+    act_dual,
+    act_matrix,
+    classify,
+    discriminant,
+    hessian_quadratic,
+    poly_mul,
+)
+from g2cubics.linalg import Matrix, Poly, RationalFunctionQ, poly_gcd
+
+DIGITS = (1, 2, 20, 100, 1000)
+
+
+@st.composite
+def fractions(draw):
+    """A Fraction with up to 1000-digit numerator and denominator; a sixth are 0."""
+    if draw(st.integers(0, 5)) == 0:
+        return Fraction(0)
+    bound = 10 ** draw(st.sampled_from(DIGITS))
+    return Fraction(draw(st.integers(-bound, bound)), draw(st.integers(1, bound)))
+
+
+@st.composite
+def line_products(draw):
+    """A cubic c * l1 * l2 * l3 whose lines may coincide, so every orbit shows up."""
+    lines = [[draw(fractions()), draw(fractions())] for _ in range(3)]
+    pattern = draw(st.sampled_from(((0, 1, 2), (0, 0, 1), (0, 0, 0))))
+    plain = [draw(fractions())]
+    for i in pattern:
+        plain = fraction_poly_mul(plain, lines[i])
+    return (plain[0], -plain[1] / 3, -plain[2] / 3, -plain[3])
+
+
+coefficients = st.one_of(st.tuples(*[fractions()] * 4), line_products())
+cubics = coefficients.map(lambda c: BinaryCubic(*c))
+duals = coefficients.map(lambda c: DualCubic(*c))
+# a fifth of the elements are singular: rank one, or zero
+singular = st.tuples(fractions(), fractions(), fractions()).map(
+    lambda t: GroupElement(t[0], t[1], t[0] * t[2], t[1] * t[2])
+)
+elements = st.one_of(st.tuples(*[fractions()] * 4).map(lambda e: GroupElement(*e)), singular)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# -- Fraction references --------------------------------------------------------
+
+
+def fraction_poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def fraction_det(h):
+    return h.a * h.d - h.b * h.c
+
+
+def fraction_require_invertible(h):
+    if fraction_det(h) == 0:
+        raise SingularGroupElement(f"{h} has determinant 0")
+
+
+def fraction_substitute(plain, a, b, c, d):
+    """p((x, y) [[a, b], [c, d]]) expanded term by term over Fractions."""
+    deg = len(plain) - 1
+    out = [Fraction(0)] * (deg + 1)
+    for i, coeff in enumerate(plain):
+        term = [Fraction(1)]
+        for _ in range(deg - i):
+            term = fraction_poly_mul(term, [d, b])
+        for _ in range(i):
+            term = fraction_poly_mul(term, [c, a])
+        for k, t in enumerate(term):
+            out[k] += coeff * t
+    return out
+
+
+def fraction_to_plain(coeffs):
+    r0, r1, r2, r3 = coeffs
+    return [r0, -3 * r1, -3 * r2, -r3]
+
+
+def fraction_from_plain(p):
+    return (p[0], -p[1] / 3, -p[2] / 3, -p[3])
+
+
+def fraction_act(h, r):
+    fraction_require_invertible(h)
+    dt = fraction_det(h)
+    plain = fraction_substitute(fraction_to_plain(r.coeffs), h.a, h.b, h.c, h.d)
+    return BinaryCubic(*fraction_from_plain([c / dt for c in plain]))
+
+
+def fraction_act_dual(h, s):
+    fraction_require_invertible(h)
+    dt = fraction_det(h)
+    plain = fraction_substitute(fraction_to_plain(s.coeffs), h.d, -h.c, -h.b, h.a)
+    return DualCubic(*fraction_from_plain([c / dt**2 for c in plain]))
+
+
+def fraction_act_matrix(h):
+    fraction_require_invertible(h)
+    a, b, c, d = h.a, h.b, h.c, h.d
+    dt = fraction_det(h)
+    raw = [
+        [d**3, -3 * c * d**2, -3 * c**2 * d, -(c**3)],
+        [-b * d**2, d * (a * d + 2 * b * c), c * (2 * a * d + b * c), a * c**2],
+        [-(b**2) * d, b * (2 * a * d + b * c), a * (a * d + 2 * b * c), a**2 * c],
+        [-(b**3), 3 * a * b**2, 3 * a**2 * b, a**3],
+    ]
+    return Matrix.from_rows([[e / dt for e in row] for row in raw])
+
+
+def fraction_inverse(h):
+    fraction_require_invertible(h)
+    dt = fraction_det(h)
+    return GroupElement(h.d / dt, -h.b / dt, -h.c / dt, h.a / dt)
+
+
+def fraction_hessian_quadratic(r):
+    r0, r1, r2, r3 = r.coeffs
+    return -9 * (r2 * r0 + r1 * r1), -9 * (r0 * r3 + r1 * r2), 9 * (r1 * r3 - r2 * r2)
+
+
+def fraction_discriminant(r):
+    d0, d1, d2 = fraction_hessian_quadratic(r)
+    return d1 * d1 - 4 * d0 * d2
+
+
+def fraction_classify(r):
+    if r.is_zero():
+        return OrbitClass.C0
+    d0, d1, d2 = fraction_hessian_quadratic(r)
+    if d0 == 0 and d1 == 0 and d2 == 0:
+        return OrbitClass.C1
+    if d1 * d1 - 4 * d0 * d2 == 0:
+        return OrbitClass.C2
+    return OrbitClass.C3
+
+
+def fraction_pairing(r, s):
+    r0, r1, r2, r3 = r.coeffs
+    s0, s1, s2, s3 = s.coeffs
+    return r0 * s0 + 3 * r1 * s1 + 3 * r2 * s2 + r3 * s3
+
+
+def fraction_moment(r, s):
+    r0, r1, r2, r3 = r.coeffs
+    s0, s1, s2, s3 = s.coeffs
+    return Matrix.from_rows(
+        [
+            [r0 * s0 + 2 * r1 * s1 + r2 * s2, -r1 * s0 + 2 * r2 * s1 + r3 * s2],
+            [-r0 * s1 + 2 * r1 * s2 + r2 * s3, r1 * s1 + 2 * r2 * s2 + r3 * s3],
+        ]
+    )
+
+
+def fraction_pairing_factored(r, v1, v2, v3, v4, v5, v6):
+    r0, r1, r2, r3 = r.coeffs
+    ryy = 6 * r0 * v3 - 6 * r1 * v4
+    ryx = -6 * r1 * v3 - 6 * r2 * v4
+    rxx = -6 * r2 * v3 - 6 * r3 * v4
+    w1 = v1 * ryy + v2 * ryx
+    w2 = v1 * ryx + v2 * rxx
+    return (w1 * v5 + w2 * v6) / 6
+
+
+def fraction_matmul(m, n):
+    out = []
+    for i in range(m.rows):
+        for j in range(n.cols):
+            out.append(sum((m[i, k] * n[k, j] for k in range(m.cols)), Fraction(0)))
+    return Matrix(m.rows, n.cols, out)
+
+
+def fraction_matvec(m, v):
+    return [sum((m[i, k] * v[k] for k in range(m.cols)), Fraction(0)) for i in range(m.rows)]
+
+
+def fraction_poly_gcd(a, b):
+    """Euclid over Fractions, made monic."""
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, r
+    if a.is_zero():
+        return a
+    lead = a.coeffs[-1]
+    return Poly([c / lead for c in a.coeffs])
+
+
+# -- cubics ---------------------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(elements, cubics, duals)
+@example(GroupElement(1, 2, 2, 4), BinaryCubic(1, 0, 0, 0), DualCubic(0, 1, 0, 0))
+@example(GroupElement(0, 0, 0, 0), BinaryCubic(0, 0, 0, 0), DualCubic(0, 0, 0, 0))
+@example(
+    GroupElement(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2), Fraction(0)),
+    BinaryCubic(0, Fraction(-1, 3), Fraction(-1, 3), 0),
+    DualCubic(Fraction(1, 2), 0, 0, Fraction(-4, 9)),
+)
+def test_group_action_matches_fraction_reference(h, r, s):
+    assert h.det() == fraction_det(h)
+    assert outcome(act, h, r) == outcome(fraction_act, h, r)
+    assert outcome(act_dual, h, s) == outcome(fraction_act_dual, h, s)
+    assert outcome(act_matrix, h) == outcome(fraction_act_matrix, h)
+    assert outcome(GroupElement.inverse, h) == outcome(fraction_inverse, h)
+
+
+def test_singular_elements_raise_the_same_message():
+    h = GroupElement(Fraction(1, 2), 1, 1, 2)
+    message = re.escape(f"{h} has determinant 0")
+    for fn, args in ((act, (h, BinaryCubic(1, 0, 0, 0))), (act_dual, (h, DualCubic(1, 0, 0, 0))),
+                     (act_matrix, (h,)), (GroupElement.inverse, (h,))):
+        with pytest.raises(SingularGroupElement, match=message):
+            fn(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cubics)
+@example(BinaryCubic(0, 0, 0, 0))
+@example(BinaryCubic(Fraction(1, 7), 0, 0, 0))
+@example(BinaryCubic(0, Fraction(-5, 3), 0, 0))
+def test_invariants_match_fraction_reference(r):
+    assert hessian_quadratic(r) == fraction_hessian_quadratic(r)
+    assert discriminant(r) == fraction_discriminant(r)
+    assert classify(r) is fraction_classify(r)
+    assert classify(DualCubic(*r.coeffs)) is fraction_classify(r)
+
+
+def test_line_products_reach_every_orbit():
+    # the strategy above must exercise the zero tests of classify
+    seen = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(line_products())
+    def record(coeffs):
+        seen.add(fraction_classify(BinaryCubic(*coeffs)))
+
+    record()
+    assert seen == set(OrbitClass)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(fractions(), min_size=1, max_size=5), st.lists(fractions(), min_size=1, max_size=5))
+def test_poly_mul_matches_fraction_reference(p, q):
+    assert poly_mul(p, q) == fraction_poly_mul(p, q)
+
+
+# -- conormal -------------------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(cubics, duals, st.tuples(*[fractions()] * 6))
+def test_pairing_and_moment_match_fraction_reference(r, s, vs):
+    assert pairing(r, s) == fraction_pairing(r, s)
+    assert moment(r, s) == fraction_moment(r, s)
+    assert moment(r, s).trace() == fraction_moment(r, s)[0, 0] + fraction_moment(r, s)[1, 1]
+    assert pairing_factored(r, *vs) == fraction_pairing_factored(r, *vs)
+
+
+# -- linalg ---------------------------------------------------------------------
+
+
+@st.composite
+def matrix_pairs(draw):
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    left = Matrix(n, k, [draw(fractions()) for _ in range(n * k)])
+    right = Matrix(k, m, [draw(fractions()) for _ in range(k * m)])
+    return left, right, [draw(fractions()) for _ in range(k)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs())
+def test_matrix_products_match_fraction_reference(pair):
+    left, right, v = pair
+    assert left @ right == fraction_matmul(left, right)
+    assert left.matvec(v) == fraction_matvec(left, v)
+
+
+def to_sympy(p: Poly, x):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0], x)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials sharing a random factor, with Fraction coefficients."""
+    def poly(max_degree):
+        return Poly(draw(st.lists(fractions(), max_size=max_degree + 1)))
+
+    common = poly(3)
+    return common * poly(4), common * poly(4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs())
+@example((Poly(), Poly()))
+@example((Poly([3]), Poly()))
+@example((Poly(), Poly([Fraction(-2, 5), 1])))
+@example((Poly([Fraction(1, 2)]), Poly([0, 0, 7])))
+@example((Poly([-1, 0, 1]), Poly([Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)])))
+def test_poly_gcd_matches_sympy(pair):
+    a, b = pair
+    got = poly_gcd(a, b)
+    assert got == fraction_poly_gcd(a, b)
+    x = sympy.Symbol("x")
+    expected = sympy.gcd(to_sympy(a, x), to_sympy(b, x))
+    if expected.is_zero:
+        assert got.is_zero()
+    else:
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(expected.monic().all_coeffs())]
+        assert list(got.coeffs) == coeffs
+
+
+def test_formal_degree_data_is_unchanged():
+    pinned = {
+        "gamma0": {"num": ["0"] * 9 + ["1"], "den": ["1", "3", "4", "3", "1"]},
+        "dim_sigma": {"num": ["0", "1/6", "-1/2", "2/3", "-1/2", "1/6"], "den": ["1"]},
+    }
+
+    def payload():
+        data = rootdata.adjoint_gamma_data.__wrapped__()
+        return {"gamma0": data.gamma0.to_json(), "dim_sigma": data.dim_sigma.to_json()}
+
+    assert payload() == pinned
+    with mock.patch.object(linalg, "poly_gcd", fraction_poly_gcd):
+        assert payload() == pinned
+        reference = RationalFunctionQ(Poly([0, 2, 4]), Poly([Fraction(1, 3), 0, Fraction(2, 3)]))
+    assert RationalFunctionQ(Poly([0, 2, 4]), Poly([Fraction(1, 3), 0, Fraction(2, 3)])) == reference

@@ -1,8 +1,11 @@
 import ast
+import hashlib
 import inspect
+import random
 import textwrap
 
 from g2cubics import verify
+from g2cubics.linalg import format_rational
 from g2cubics.packets import Derived
 from g2cubics.sheaves import TABLES, SimpleObject
 
@@ -50,3 +53,72 @@ def test_every_table_check_reads_its_tables():
     plain = {name: fn for name, _, fn in verify.CHECKS}
     assert sorted(n for n in verify._TABLE_CHECKS if not reads_tables(plain[n])) == []
     assert len(verify._TABLE_CHECKS) == 19
+
+
+# trials and seed of every randomized check: a speed-up must not come from
+# fewer or different trials
+RANDOMIZED_DEFAULTS = {
+    "discriminant-repeated-root-oracle": (1000, 101),
+    "classify-action-invariance": (1000, 102),
+    "action-matrix-substitution": (100, 103),
+    "action-matrix-entries": (5, 104),
+    "action-matrix-homomorphism": (50, 105),
+    "discriminant-equivariance": (200, 106),
+    "hessian-quarter-determinant": (200, 107),
+    "line-division-root-convention": (300, 108),
+    "pairing-trace-of-moment": (1000, 109),
+    "pairing-invariance": (1000, 110),
+    "pairing-factored-hessian": (500, 111),
+    "dual-action-matrix": (50, 112),
+    "conormal-kernel-equivariance": (100, 113),
+}
+
+# SHA-256 of the first 200 draws per seed, as text: (_random_fraction,
+# _random_group_element), each from a fresh generator
+DRAW_DIGESTS = {
+    101: ("4f2100397fbfca1e8fa7d2dfae8a35b9122f0aaef94f8bb18fdb85f85f0131ac",
+          "37d6548cf10ecfc76770c1d77b686941492129c4098f9f1169417ee8a127b98d"),
+    102: ("32bd5073906065e6ad1cc589cfb0caae0119a2f7c4e46442130bcfb170d15c5b",
+          "e7ac022f7af848ceb0ce8be8ee6de149c868f7364d2d5156bca89a0f87749669"),
+    103: ("f289f8b7985d1560c8baa7687dfe8c965320518b1caee9a6084d0662d399fa2b",
+          "4b374d4a036500f9da7ae37dfec3cacdf644facd30e0e6f00837ad71a1e66230"),
+    104: ("60130ed933479d1a09db61a997f4a8191dfb6101638d8dde3f371d0e55a37bd6",
+          "56b0f5ebbef0f4a536c71dbeaf7b626c38344a24896fc1631cccbeef8a8f4b81"),
+    105: ("c09ddeea8eca87d508a99c795bd2b4d34a970107ef281a5cd91e5d0440491678",
+          "1e3d6247a90cde49d890fcd81ee4e88d8c657240170f54eb086064c3485e3dbe"),
+    106: ("7b458e3c9848a555397351b09db38fdd64a1e559c1172a5c9b17b3fc6e1ceb3b",
+          "dc0b5973ed9fcf9f56f8e54a87f0a2ad266808e0a1e19e452a40112c55b795ae"),
+    107: ("c95edcee18fea92d39770cf66f53e7ad18d705da5f2828d35a31c2e06f190e0a",
+          "629f0be252027c6683feaae1f672629fa091f2bc02883138d9005d298416fc35"),
+    108: ("39b2d344c9f66396797b654fe62e24a481bdb5f2711448f0eb29f39c4526d894",
+          "6764dfdecbe508745a5596302de69895179649de57d11a0c0d988c66d508ca60"),
+    109: ("957aeb4172b0385d9564b913a198b6563eb5328c38e7808872c9f807b8c3d351",
+          "46dc938cd778979784efa2e9402389319f1d441e335ccba8e8db4f23ff7daabb"),
+    110: ("dc81d69cfb22eeefb3e1b48068eac451ba339c54061ac742dde34e9d784f9551",
+          "4046cee7fa6098674eef23608b9fc0e85b4ff4ab661df81d8ac1c8e5dd2ea3cc"),
+    111: ("b5d3e859fad334c1b3085604acaa298dfc998fa385ca1a3c3a01b7184b95a11e",
+          "2ce6985bb8b3ab27532d0f10fff2a2d1ae50bd322b6d7e89b7fe9e427a45a195"),
+    112: ("1118e83805f86b3d74582c9bbe12a1e4e081559d78762f6be19027ce735d4b53",
+          "6cbfda2413aae89dd248cc147d59a35083e685d790fcd7a99d6f5a7cc67d30bc"),
+    113: ("242d0044747f0087f20b4ebb6a95e32cb84fca992fbd3183c24a72598c72d79c",
+          "f4936f1ce3400a5a919ae63dc7e6f1d05530fd2c92d3bac9dd669f214b6b00e9"),
+}
+
+
+def test_randomized_checks_keep_their_trials_and_seeds():
+    defaults = {}
+    for name, _, fn in verify.CHECKS:
+        params = inspect.signature(fn).parameters
+        if "trials" in params or "seed" in params:
+            defaults[name] = (params["trials"].default, params["seed"].default)
+    assert defaults == RANDOMIZED_DEFAULTS
+
+
+def test_random_draws_are_unchanged():
+    def digest(draw, seed):
+        rng = random.Random(seed)
+        return hashlib.sha256(" ".join(draw(rng) for _ in range(200)).encode()).hexdigest()
+
+    for seed, (fractions, elements) in DRAW_DIGESTS.items():
+        assert digest(lambda rng: format_rational(verify._random_fraction(rng)), seed) == fractions
+        assert digest(lambda rng: repr(verify._random_group_element(rng)), seed) == elements
