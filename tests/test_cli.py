@@ -9,11 +9,12 @@ import sys
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
 
-from g2cubics import cli
+from g2cubics import cli, linalg
 from g2cubics.cli import CHECK_FAILED, INPUT_ERROR, OK, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -177,6 +178,54 @@ def test_numeric_commands_past_the_int_str_digit_limit(capsys, n):
     assert payload["component_group"] == "S3"
     assert len(payload["generators"]) == 6
     validate_payload(payload)
+
+
+def test_kernel_of_a_cubic_built_to_defeat_the_prime(capsys):
+    # -x * y * (P y - x), the lines [0:1], [1:0] and [P:1] for the prime P of
+    # the kernel's rank certificate: its moment matrix's determinant, a
+    # multiple of the discriminant, is 0 modulo P, so the exact path answers
+    p = 2**61 - 1
+    r = ("0", f"{p}/3", "-1/3", "0")
+    code, out, _ = run_cli(capsys, "--format", "json", "classify", *r)
+    assert code == OK
+    assert json.loads(out)["orbit"] == "C3"
+    with mock.patch.object(linalg, "_rref", wraps=linalg._rref) as exact:
+        code, out, _ = run_cli(capsys, "--format", "json", "kernel", *r)
+    assert code == OK
+    assert json.loads(out) == {"basis": [], "dimension": 0}
+    assert exact.call_count == 1
+
+
+def _line_product(lines):
+    """Integer coefficients of 3 * the product of the forms u1 y - u2 x."""
+    plain = [1]
+    for u1, u2 in lines:
+        plain = [
+            (plain[i] * u1 if i < len(plain) else 0) - (plain[i - 1] * u2 if i else 0)
+            for i in range(len(plain) + 1)
+        ]
+    a0, a1, a2, a3 = plain
+    return 3 * a0, -a1, -a2, -3 * a3
+
+
+@pytest.mark.parametrize(
+    "lines, dimension",
+    [((0, 1, 2), 0), ((0, 0, 1), 1)],
+    ids=["three-lines", "double-line"],
+)
+def test_kernel_at_twenty_thousand_digits(capsys, lines, dimension):
+    k = 6667  # line entries of a third of the coefficients' 20,000 digits
+    entries = [(_digits(k, 2 * i), _digits(k, 2 * i + 1)) for i in range(3)]
+    r = _line_product(entries[i] for i in lines)
+    assert all(len(str(Decimal(abs(v)))) >= 20_000 for v in r)
+    with mock.patch.object(linalg, "_rref", wraps=linalg._rref) as exact:
+        code, out, _ = run_cli(capsys, "--format", "json", "kernel", *(str(Decimal(v)) for v in r))
+    assert code == OK
+    payload = json.loads(out)
+    assert payload["dimension"] == dimension
+    validate_payload(payload)
+    # the rank certificate proves the empty kernel; a nonzero one is exact
+    assert exact.call_count == (dimension > 0)
 
 
 def test_lambda_regular(capsys):
