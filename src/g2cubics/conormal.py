@@ -2,23 +2,23 @@
 
 The conormal variety is the vanishing locus of the 2x2 moment map [r, s];
 its regular strata pair an orbit with its dual orbit.  Stabilizer component
-groups are computed honestly: the finite generators are found by solving
-exact line-permutation equations and every generator is verified to fix its
-input, while dimensions come from the kernel of the infinitesimal action.
+groups are computed honestly: every finite generator is g b g^{-1}, with b
+from a fixed stabilizer of a base point and g an explicit element moving the
+base point's lines onto the input's, and every generator is verified to fix
+its input, while dimensions come from the kernel of the infinitesimal action.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
 from .cubics import (
     BinaryCubic,
     DualCubic,
     GroupElement,
-    Line,
     MultiplicityStructure,
     OrbitClass,
     act,
@@ -27,12 +27,11 @@ from .cubics import (
     multiplicity_structure,
     poly_dx,
     poly_dy,
-    poly_mul,
     from_plain,
     rational_lines,
     to_plain,
 )
-from .linalg import Matrix, common_denominator, kernel_basis, rational
+from .linalg import Matrix, common_denominator, kernel_basis, poly_mul, rational
 
 
 class IrrationalSplitting(ValueError):
@@ -229,67 +228,62 @@ def stabilizer_dimension(r: BinaryCubic, s: DualCubic | None = None) -> int:
 # -- finite stabilizers -------------------------------------------------------
 
 
-def _line_permutation_element(lines: list[Line], images: list[Line]) -> GroupElement | None:
-    """The projective element sending line i to images[i], or None.
+# the six integer elements fixing y x (x - y), whose lines are [1:0], [0:1]
+# and [1:1] in this order; the k-th sends base line i to base line perm[i],
+# for the k-th perm of permutations(range(3))
+_S3_BASE = (
+    GroupElement(1, 0, 0, 1),
+    GroupElement(1, 0, -1, -1),
+    GroupElement(0, 1, 1, 0),
+    GroupElement(-1, -1, 1, 0),
+    GroupElement(0, 1, -1, -1),
+    GroupElement(-1, -1, 0, 1),
+)
 
-    A line (u1, u2) transforms to (u1, u2) . adj(h) under h, so each
-    constraint 'u adj(h) parallel to w' is linear in the entries of h.
+
+def _conjugates(
+    g: GroupElement, base: Sequence[GroupElement], r: BinaryCubic, s: DualCubic | None = None
+) -> list[GroupElement]:
+    """g b g^{-1} for each b in base, each verified to fix r (and s).
+
+    An element fixing the base point is carried to one fixing its image
+    under g; the check makes every returned element honest.
     """
-    rows = []
-    for u, w in zip(lines, images):
-        u1, u2 = u.u1, u.u2
-        w1, w2 = w.u1, w.u2
-        # cross(u.adj(h), w) = 0, coefficients in (a, b, c, d)
-        rows.append([-u2 * w1, u1 * w1, -u2 * w2, u1 * w2])
-    basis = kernel_basis(Matrix.from_rows(rows))
-    if len(basis) != 1:
-        return None
-    a, b, c, d = basis[0]
-    h = GroupElement(a, b, c, d)
-    return h if h.det() != 0 else None
+    ginv = g.inverse()
+    out = []
+    for b in base:
+        h = g * b * ginv
+        if act(h, r) != r or (s is not None and act_dual(h, s) != s):
+            raise IrrationalSplitting("a conjugated base element does not fix the point")
+        out.append(h)
+    return out
 
 
-def _scale_to_fix(h: GroupElement, r: BinaryCubic) -> GroupElement | None:
-    """Scale h so that act(h, r) = r, using act(t h, r) = t act(h, r)."""
-    image = act(h, r)
-    ratio = None
-    for x, y in zip(image.coeffs, r.coeffs):
-        if y == 0 and x == 0:
-            continue
-        if y == 0 or x == 0:
-            return None
-        c = x / y
-        if ratio is None:
-            ratio = c
-        elif ratio != c:
-            return None
-    if ratio is None or ratio == 0:
-        return None
-    return h.scale(1 / ratio)
+def _three_line_frame(r: BinaryCubic) -> GroupElement:
+    """An element sending the base lines [1:0], [0:1], [1:1] to r's three
+    rational lines, in the listing order of `rational_lines`.
 
-
-def _split_three_lines(r: BinaryCubic) -> list[Line]:
+    h sends a line u to u adj(h), so adj(g) has rows alpha L0 and beta L1
+    with alpha L0 + beta L1 parallel to L2; Cramer's rule gives alpha and
+    beta on integer representatives of the lines.
+    """
     lines, residual = rational_lines(r)
     if residual != 0 or sorted(m for _, m in lines) != [1, 1, 1]:
         raise IrrationalSplitting(
             f"{r!r} does not split into three distinct rational lines"
         )
-    return [u for u, _ in lines]
+    (p0, q0), (p1, q1), (p2, q2) = (common_denominator((u.u1, u.u2))[0] for u, _ in lines)
+    alpha, beta = p2 * q1 - q2 * p1, p0 * q2 - q0 * p2
+    return GroupElement(beta * q1, -alpha * q0, -beta * p1, alpha * p0)
 
 
-def _s3_stabilizer(r: BinaryCubic) -> list[GroupElement]:
-    """All six elements fixing a rational-split three-line cubic."""
-    lines = _split_three_lines(r)
-    elements = []
-    for perm in permutations(range(3)):
-        h0 = _line_permutation_element(lines, [lines[p] for p in perm])
-        if h0 is None:
-            raise IrrationalSplitting(f"no rational element realizes permutation {perm}")
-        h = _scale_to_fix(h0, r)
-        if h is None or act(h, r) != r:
-            raise IrrationalSplitting(f"could not normalize permutation {perm}")
-        elements.append(h)
-    return elements
+def _s3_stabilizer(r: BinaryCubic, s: DualCubic | None = None) -> list[GroupElement]:
+    """All six elements fixing a rational-split three-line cubic (and s).
+
+    t I acts on cubics by t, so one element realizes each permutation of
+    the lines and fixes r: the conjugate of the base element, unscaled.
+    """
+    return _conjugates(_three_line_frame(r), _S3_BASE, r, s)
 
 
 def stabilizer_of_cubic(r: BinaryCubic) -> StabilizerDescription:
@@ -309,20 +303,17 @@ def stabilizer_of_cubic(r: BinaryCubic) -> StabilizerDescription:
     return StabilizerDescription(0, ComponentGroup.S3, elements)
 
 
-def _dual_stabilizer_elements(s: DualCubic) -> list[GroupElement]:
-    """Six elements fixing a rational-split three-line dual cubic.
+def _dual_stabilizer_elements(p: ConormalPoint) -> list[GroupElement]:
+    """Six elements fixing (r, s) = (0, s), s a rational-split three-line
+    dual cubic.
 
     act_dual(h, s) = act(t(h^{-1}), s read on the primal side), so the dual
-    stabilizer is the image of the primal one under h |-> t(h^{-1}).
+    stabilizer is the image of the primal one under h |-> t(h^{-1}), which
+    carries g b g^{-1} to the conjugate of t(b^{-1}) by t(g^{-1}).
     """
-    primal = BinaryCubic(*s.coeffs)
-    out = []
-    for g in _s3_stabilizer(primal):
-        h = g.inverse().transpose()
-        if act_dual(h, s) != s:
-            raise IrrationalSplitting("dual stabilizer transport failed")
-        out.append(h)
-    return out
+    g = _three_line_frame(BinaryCubic(*p.s.coeffs))
+    base = [b.inverse().transpose() for b in _S3_BASE]
+    return _conjugates(g.inverse().transpose(), base, p.r, p.s)
 
 
 def _order_two_pair_element(
@@ -355,11 +346,7 @@ def _order_two_pair_element(
         gprime = GroupElement(-v.u2, -vprime.u2, v.u1, vprime.u1)
         g = gprime.inverse().transpose()
         base = GroupElement.diagonal(1, -1)
-    g.require_invertible()
-    h = g * base * g.inverse()
-    if act(h, r) != r or act_dual(h, s) != s:
-        raise IrrationalSplitting("conjugated involution fails to fix the pair")
-    return h
+    return _conjugates(g, [base], r, s)[0]
 
 
 def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
@@ -369,12 +356,8 @@ def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
         raise NotRegularConormal(f"{p!r} is not on a regular conormal stratum")
     dim = stabilizer_dimension(p.r, p.s)
     if stratum == 3:
-        elems = _s3_stabilizer(p.r)
-        for h in elems:
-            if act_dual(h, p.s) != p.s:  # s = 0, trivially true
-                raise NotRegularConormal("stabilizer fails on the dual side")
-        return StabilizerDescription(dim, ComponentGroup.S3, elems)
+        return StabilizerDescription(dim, ComponentGroup.S3, _s3_stabilizer(p.r, p.s))
     if stratum == 0:
-        return StabilizerDescription(dim, ComponentGroup.S3, _dual_stabilizer_elements(p.s))
+        return StabilizerDescription(dim, ComponentGroup.S3, _dual_stabilizer_elements(p))
     h = _order_two_pair_element(p.r, p.s, stratum)
     return StabilizerDescription(dim, ComponentGroup.S2, [h])

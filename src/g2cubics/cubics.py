@@ -49,16 +49,6 @@ def from_plain(plain, den: int = 1) -> tuple[Fraction, Fraction, Fraction, Fract
     return Fraction(a0, den), Fraction(a1, -3 * den), Fraction(a2, -3 * den), Fraction(a3, -den)
 
 
-def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    (p, pden), (q, qden) = common_denominator(p), common_denominator(q)
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    den = pden * qden
-    return [Fraction(v, den) for v in out]
-
-
 def poly_dx(p: list) -> list:
     """d/dx of a homogeneous polynomial in the plain basis (ints stay ints)."""
     return [p[i] * i for i in range(1, len(p))]
@@ -221,10 +211,6 @@ class GroupElement:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def scale(self, t) -> "GroupElement":
-        t = rational(t)
-        return GroupElement(t * self.a, t * self.b, t * self.c, t * self.d)
 
     def to_json(self) -> list[list[str]]:
         return [

@@ -167,24 +167,6 @@ class Matrix:
         )
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            self.rows, self.cols, [a + b for a, b in zip(self._entries, other._entries)]
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            self.rows, self.cols, [a - b for a, b in zip(self._entries, other._entries)]
-        )
-
-    def scale(self, c) -> "Matrix":
-        c = rational(c)
-        return Matrix(self.rows, self.cols, [c * e for e in self._entries])
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         # each row of self and each column of other over its own denominator,
         # so one large denominator does not inflate every product
@@ -303,10 +285,10 @@ def kernel_basis(m: Matrix) -> list[list[Fraction]]:
     a 1 in the free coordinate.  An empty matrix has the full standard basis.
 
     Full column rank modulo the constant prime `_P` proves the kernel empty
-    and skips the exact elimination; this is where a finite stabilizer or an
-    open-orbit conormal fibre is decided.  Rank loss modulo `_P` proves
-    nothing, so then, and for every nonzero kernel, the Fraction
-    elimination decides.
+    and skips the exact elimination; this decides the open-orbit (C3)
+    `conormal_kernel` and the zero-dimensional `stabilizer_dimension` inside
+    `microlocal_stabilizer`.  Rank loss modulo `_P` proves nothing, so then,
+    and for every nonzero kernel, the Fraction elimination decides.
     """
     if m.rows == 0 or m.cols == 0:
         return [
@@ -363,6 +345,18 @@ def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:
 # ---------------------------------------------------------------------------
 
 
+def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
+    """Product of two nonempty coefficient lists (Fractions or ints), by
+    index: entry k of the result is the sum of p[i] q[j] over i + j = k."""
+    (p, pden), (q, qden) = common_denominator(p), common_denominator(q)
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    den = pden * qden
+    return [Fraction(v, den) for v in out]
+
+
 def _trim(coeffs: list) -> tuple:
     c = list(coeffs)
     while c and c[-1] == 0:
@@ -412,11 +406,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        return Poly(poly_mul(self.coeffs, other.coeffs))
 
     def __pow__(self, n: int) -> "Poly":
         result = Poly.const(1)

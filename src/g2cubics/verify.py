@@ -37,7 +37,7 @@ from .cubics import (
     poly_dy,
     to_plain,
 )
-from .linalg import Matrix, Poly, common_denominator, eval_q, invert, poly_gcd, rank
+from .linalg import Matrix, Poly, common_denominator, eval_q, invert, poly_gcd, poly_mul, rank
 from .packets import Derived
 
 
@@ -212,9 +212,9 @@ def check_hessian_quarter_determinant(trials: int = 200, seed: int = 107) -> str
         pyy, pyx = poly_dy(py), poly_dx(py)
         pxx = poly_dx(px)
         det = [Fraction(0)] * 3
-        for i, c in enumerate(cubics.poly_mul(pyy, pxx)):
+        for i, c in enumerate(poly_mul(pyy, pxx)):
             det[i] += c
-        for i, c in enumerate(cubics.poly_mul(pyx, pyx)):
+        for i, c in enumerate(poly_mul(pyx, pyx)):
             det[i] -= c
         quarter = [c / 4 for c in det]
         d0, d1, d2 = hessian_quadratic(r)

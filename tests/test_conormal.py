@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from g2cubics import cli, conormal, linalg
 from g2cubics.conormal import (
     ComponentGroup,
     ConormalPoint,
@@ -31,8 +36,10 @@ from g2cubics.cubics import (
     act,
     act_dual,
     divides,
+    from_plain,
     rational_lines,
 )
+from g2cubics.linalg import Matrix, kernel_basis, poly_mul
 
 XY_X_PLUS_Y = (0, Fraction(-1, 3), Fraction(-1, 3), 0)
 
@@ -256,3 +263,109 @@ def test_stabilizer_json():
     payload = d.to_json()
     assert payload["dimension"] == 1
     assert payload["component_group"] == "trivial"
+
+
+# -- the S3 stabilizer by transport of a base stabilizer ------------------------
+
+
+def reference_s3_generators(r):
+    """The former route to the six stabilizer elements of a three-line cubic:
+    for each permutation of the lines solve the linear equations 'u adj(h)
+    parallel to w' for h, then rescale h so that act(h, r) = r."""
+    lines = [u for u, _ in rational_lines(r)[0]]
+    out = []
+    for perm in permutations(range(3)):
+        rows = [
+            [-u.u2 * w.u1, u.u1 * w.u1, -u.u2 * w.u2, u.u1 * w.u2]
+            for u, w in zip(lines, [lines[p] for p in perm])
+        ]
+        [(a, b, c, d)] = kernel_basis(Matrix.from_rows(rows))
+        image = act(GroupElement(a, b, c, d), r)
+        t = next(y / x for x, y in zip(image.coeffs, r.coeffs) if y != 0)
+        out.append(GroupElement(t * a, t * b, t * c, t * d))
+    return out
+
+
+def line_product(*lines):
+    """The cubic whose lines are the given [u1:u2], a product of forms u1 y - u2 x."""
+    p = [1]
+    for u1, u2 in lines:
+        p = poly_mul(p, [u1, -u2])
+    return BinaryCubic(*from_plain(p))
+
+
+@st.composite
+def slopes(draw):
+    """A line [1:t]: t an integer or a fraction of 1 to 1000 digits."""
+    digits = draw(st.sampled_from((1, 2, 20, 100, 1000)))
+    num = draw(st.integers(-(10**digits), 10**digits))
+    den = draw(st.sampled_from((1, draw(st.integers(1, 10**digits)))))
+    return (1, Fraction(num, den))
+
+
+three_line_cubics = st.builds(
+    lambda lines, scale: line_product(*lines).scale(scale),
+    st.lists(
+        st.one_of(st.just((0, 1)), st.just((1, 0)), slopes()),
+        min_size=3,
+        max_size=3,
+        unique_by=lambda u: Fraction(u[1]) if u[0] else None,
+    ),
+    st.fractions().filter(bool),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(three_line_cubics)
+@example(BinaryCubic(*XY_X_PLUS_Y))
+@example(BinaryCubic(0, Fraction(1, 3), Fraction(-1, 3), 0))  # y x (x - y), the base point
+@example(line_product((1, Fraction(10**999 + 7, 3**2000)), (1, 1 - 10**1000), (0, 1)))
+def test_s3_generators_match_the_line_permutation_solve(r):
+    got = stabilizer_of_cubic(r)
+    assert (got.dimension, got.component_group) == (0, ComponentGroup.S3)
+    assert got.to_json()["generators"] == [h.to_json() for h in reference_s3_generators(r)]
+
+
+def test_open_strata_moved_by_the_group_stay_s3():
+    rng = random.Random(16)
+    pairs = canonical_regular_pairs()
+    for stratum in (0, 3):
+        for _ in range(15):
+            h = rng_element(rng).inverse() * rng_element(rng)  # fractional entries too
+            p = ConormalPoint(act(h, pairs[stratum].r), act_dual(h, pairs[stratum].s))
+            d = microlocal_stabilizer(p)
+            assert (d.dimension, d.component_group) == (0, ComponentGroup.S3)
+            elems = d.group_elements()
+            assert len(elems) == 6
+            for g in elems:
+                assert act(g, p.r) == p.r
+                assert act_dual(g, p.s) == p.s
+            if stratum == 0:  # the dual stabilizer is t(g^{-1}) of the primal one
+                primal = stabilizer_of_cubic(BinaryCubic(*p.s.coeffs)).generators
+                assert d.generators == [g.inverse().transpose() for g in primal]
+            else:
+                assert d.generators == stabilizer_of_cubic(p.r).generators
+
+
+def test_split_c3_stabilizer_solves_no_linear_system():
+    counting = mock.Mock(wraps=linalg.kernel_basis)
+    with mock.patch.object(linalg, "kernel_basis", counting), mock.patch.object(
+        conormal, "kernel_basis", counting
+    ):
+        assert cli.main(["stabilizer", "0", "-1/3", "-1/3", "0"]) == 0
+        r = line_product((1, Fraction(2, 3)), (1, -5), (0, 1))
+        assert len(stabilizer_of_cubic(r).generators) == 6
+    assert counting.call_count == 0
+
+
+def test_conjugates_reject_an_element_that_moves_the_point():
+    # diag(2, 1) fixes r = -3 x y^2 but sends s = -x^3 to -x^3 / 4;
+    # diag(1, 2) sends r to 2 r
+    r, s = canonical_regular_pairs()[2].r, canonical_regular_pairs()[2].s
+    moved = GroupElement(1, 1, 0, 1)
+    g = GroupElement.diagonal(2, 1)
+    assert conormal._conjugates(moved, [g], act(moved, r)) == [moved * g * moved.inverse()]
+    with pytest.raises(IrrationalSplitting):
+        conormal._conjugates(moved, [g], act(moved, r), act_dual(moved, s))
+    with pytest.raises(IrrationalSplitting):
+        conormal._conjugates(moved, [GroupElement.diagonal(1, 2)], act(moved, r))

@@ -30,9 +30,8 @@ from g2cubics.cubics import (
     classify,
     discriminant,
     hessian_quadratic,
-    poly_mul,
 )
-from g2cubics.linalg import Matrix, Poly, RationalFunctionQ, poly_gcd
+from g2cubics.linalg import Matrix, Poly, RationalFunctionQ, poly_gcd, poly_mul
 
 DIGITS = (1, 2, 20, 100, 1000)
 
@@ -281,6 +280,9 @@ def test_line_products_reach_every_orbit():
 @given(st.lists(fractions(), min_size=1, max_size=5), st.lists(fractions(), min_size=1, max_size=5))
 def test_poly_mul_matches_fraction_reference(p, q):
     assert poly_mul(p, q) == fraction_poly_mul(p, q)
+    # Poly's product runs on poly_mul; a zero operand gives the zero Poly
+    assert Poly(p) * Poly(q) == Poly(fraction_poly_mul(p, q))
+    assert (Poly(p) * Poly()).is_zero() and (Poly() * Poly(q)).is_zero()
 
 
 # -- conormal -------------------------------------------------------------------
@@ -359,6 +361,7 @@ def test_formal_degree_data_is_unchanged():
         return {"gamma0": data.gamma0.to_json(), "dim_sigma": data.dim_sigma.to_json()}
 
     assert payload() == pinned
+    assert rootdata.dim_sigma_simplified().to_json() == pinned["dim_sigma"]
     with mock.patch.object(linalg, "poly_gcd", fraction_poly_gcd):
         assert payload() == pinned
         reference = RationalFunctionQ(Poly([0, 2, 4]), Poly([Fraction(1, 3), 0, Fraction(2, 3)]))

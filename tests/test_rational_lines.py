@@ -24,10 +24,10 @@ from g2cubics.cubics import (
     classify,
     divide_by_form,
     from_plain,
-    poly_mul,
     rational_lines,
     to_plain,
 )
+from g2cubics.linalg import poly_mul
 
 # -- the divisor-enumeration reference ----------------------------------------
 
