@@ -91,8 +91,8 @@ class StabilizerDescription:
 
 def pairing(r: BinaryCubic, s: DualCubic) -> Fraction:
     """The invariant pairing <r, s> = r0 s0 + 3 r1 s1 + 3 r2 s2 + r3 s3."""
-    (r0, r1, r2, r3), rden = common_denominator(r.coeffs)
-    (s0, s1, s2, s3), sden = common_denominator(s.coeffs)
+    (r0, r1, r2, r3), rden = r.integers()
+    (s0, s1, s2, s3), sden = s.integers()
     return Fraction(r0 * s0 + 3 * r1 * s1 + 3 * r2 * s2 + r3 * s3, rden * sden)
 
 
@@ -109,7 +109,7 @@ def pairing_factored(r: BinaryCubic, v1, v2, v3, v4, v5, v6) -> Fraction:
     Equals (1/6) (v1 v2) . Hess(r)|_{y=v3, x=v4} . (v5 v6)^t, with the Hessian
     in the (y, x) variable order; symmetric in the three factors.
     """
-    (r0, r1, r2, r3), rden = common_denominator(r.coeffs)
+    (r0, r1, r2, r3), rden = r.integers()
     (v1, v2), den12 = common_denominator((rational(v1), rational(v2)))
     (v3, v4), den34 = common_denominator((rational(v3), rational(v4)))
     (v5, v6), den56 = common_denominator((rational(v5), rational(v6)))
@@ -124,8 +124,8 @@ def pairing_factored(r: BinaryCubic, v1, v2, v3, v4, v5, v6) -> Fraction:
 
 def moment(r: BinaryCubic, s: DualCubic) -> Matrix:
     """The 2x2 moment map [r, s]; its vanishing defines the conormal variety."""
-    (r0, r1, r2, r3), rden = common_denominator(r.coeffs)
-    (s0, s1, s2, s3), sden = common_denominator(s.coeffs)
+    (r0, r1, r2, r3), rden = r.integers()
+    (s0, s1, s2, s3), sden = s.integers()
     den = rden * sden
     entries = [
         r0 * s0 + 2 * r1 * s1 + r2 * s2,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from .linalg import Matrix, common_denominator, format_rational, rational
@@ -117,15 +118,52 @@ STRUCTURE_TO_ORBIT = {v: k for k, v in ORBIT_TO_STRUCTURE.items()}
 
 
 class _CoeffVector:
-    """Shared behaviour of the primal and dual coefficient 4-vectors."""
+    """Shared behaviour of the primal and dual coefficient 4-vectors.
 
-    __slots__ = ("coeffs",)
+    A vector has two exact forms, each built on first use and kept: the
+    Fraction `coeffs`, and the integer form `integers()`, the numerators over
+    the least common denominator.  A vector built from coefficients clears
+    them only when a reader asks for integers; one built by `_from_integers`
+    (the group actions) builds its Fractions only when `coeffs` is read.
+    """
+
+    __slots__ = ("_coeffs", "_integers")
 
     def __init__(self, c0, c1, c2, c3):
-        self.coeffs = (rational(c0), rational(c1), rational(c2), rational(c3))
+        self._coeffs = (rational(c0), rational(c1), rational(c2), rational(c3))
+        self._integers = None
+
+    @classmethod
+    def _from_integers(cls, nums, den: int):
+        """The vector nums / den for ints with den nonzero, reduced by one gcd
+        to the unique integer form."""
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        v = cls.__new__(cls)
+        v._coeffs = None
+        v._integers = (tuple(n // g for n in nums), den // g)
+        return v
+
+    @property
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        if self._coeffs is None:
+            nums, den = self._integers
+            self._coeffs = tuple(Fraction(n, den) for n in nums)
+        return self._coeffs
+
+    def integers(self) -> tuple[tuple[int, int, int, int], int]:
+        """(nums, den) with coeffs[i] = nums[i] / den, den > 0 and
+        gcd(den, *nums) = 1: the unique integer form of the vector."""
+        if self._integers is None:
+            nums, den = common_denominator(self._coeffs)
+            self._integers = (tuple(nums), den)
+        return self._integers
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        if self._integers is not None:
+            return not any(self._integers[0])
+        return not any(self._coeffs)
 
     def scale(self, c):
         c = rational(c)
@@ -137,7 +175,7 @@ class _CoeffVector:
         return type(self)(*(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.integers() == other.integers()
 
     def __hash__(self):
         return hash((type(self).__name__, self.coeffs))
@@ -183,6 +221,10 @@ class GroupElement:
     def integer_entries(self) -> tuple[int, int, int, int, int, int]:
         """(a, b, c, d, den, det) over Python ints: self = [[a, b], [c, d]] / den
         and det = ad - bc, so that det(self) = det / den^2."""
+        return self._integer_entries
+
+    @cached_property
+    def _integer_entries(self) -> tuple[int, int, int, int, int, int]:
         (a, b, c, d), den = common_denominator((self.a, self.b, self.c, self.d))
         return a, b, c, d, den, a * d - b * c
 
@@ -274,10 +316,15 @@ RATIONAL_SPLIT_REPRESENTATIVES = {
 
 
 def evaluate(r: BinaryCubic | DualCubic, x, y) -> Fraction:
-    """r(x, y) = r0*y^3 - 3*r1*y^2*x - 3*r2*y*x^2 - r3*x^3, exactly."""
-    x, y = rational(x), rational(y)
-    r0, r1, r2, r3 = r.coeffs
-    return r0 * y**3 - 3 * r1 * y**2 * x - 3 * r2 * y * x**2 - r3 * x**3
+    """r(x, y) = r0*y^3 - 3*r1*y^2*x - 3*r2*y*x^2 - r3*x^3, exactly.
+
+    With r = R / rden and (x, y) = (X, Y) / den over the integers, the value
+    is R(X, Y) / (rden den^3).
+    """
+    (r0, r1, r2, r3), rden = r.integers()
+    (x, y), den = common_denominator((rational(x), rational(y)))
+    value = ((r0 * y - 3 * r1 * x) * y - 3 * r2 * x * x) * y - r3 * x**3
+    return Fraction(value, rden * den**3)
 
 
 def _substitute(plain: list[int], a: int, b: int, c: int, d: int) -> list[int]:
@@ -310,8 +357,16 @@ def act(h: GroupElement, r: BinaryCubic) -> BinaryCubic:
     carries hden^3, so the plain-basis result is R((x, y) H) / (det(H) rden hden).
     """
     a, b, c, d, hden, det = h.require_invertible()
-    nums, rden = common_denominator(r.coeffs)
-    return BinaryCubic(*from_plain(_substitute(to_plain(nums), a, b, c, d), det * rden * hden))
+    nums, rden = r.integers()
+    plain = _substitute(to_plain(nums), a, b, c, d)
+    return BinaryCubic._from_integers(*_twisted(plain, det * rden * hden))
+
+
+def _twisted(plain: list[int], den: int) -> tuple[tuple[int, int, int, int], int]:
+    """Integer numerators and denominator of the twisted coefficients of the
+    plain-basis cubic plain / den: (3 a0, -a1, -a2, -3 a3) / (3 den)."""
+    a0, a1, a2, a3 = plain
+    return (3 * a0, -a1, -a2, -3 * a3), 3 * den
 
 
 def act_matrix(h: GroupElement) -> Matrix:
@@ -339,9 +394,9 @@ def act_dual(h: GroupElement, s: DualCubic) -> DualCubic:
     integers (h = H / hden, s = S / sden) that is S((x, y) adj(H)) hden / (det(H)^2 sden).
     """
     a, b, c, d, hden, det = h.require_invertible()
-    nums, sden = common_denominator(s.coeffs)
+    nums, sden = s.integers()
     plain = [hden * v for v in _substitute(to_plain(nums), d, -c, -b, a)]
-    return DualCubic(*from_plain(plain, det * det * sden))
+    return DualCubic._from_integers(*_twisted(plain, det * det * sden))
 
 
 def hessian_quadratic(r: BinaryCubic | DualCubic):
@@ -350,13 +405,13 @@ def hessian_quadratic(r: BinaryCubic | DualCubic):
     This equals one quarter of det Hess(r); the factor is pinned by an
     expansion oracle in the test-suite.
     """
-    nums, den = common_denominator(r.coeffs)
+    nums, den = r.integers()
     den *= den
     d0, d1, d2 = _hessian_integers(nums)
     return Fraction(d0, den), Fraction(d1, den), Fraction(d2, den)
 
 
-def _hessian_integers(nums: list[int]) -> tuple[int, int, int]:
+def _hessian_integers(nums: tuple[int, int, int, int]) -> tuple[int, int, int]:
     """The Hessian quadratic of R = (r0, r1, r2, r3) over the integers; for
     r = R / den its coefficients are these divided by den^2."""
     r0, r1, r2, r3 = nums
@@ -365,7 +420,7 @@ def _hessian_integers(nums: list[int]) -> tuple[int, int, int]:
 
 def discriminant(r: BinaryCubic | DualCubic) -> Fraction:
     """Discriminant of the Hessian quadratic; zero iff r has a repeated root."""
-    nums, den = common_denominator(r.coeffs)
+    nums, den = r.integers()
     d0, d1, d2 = _hessian_integers(nums)
     return Fraction(d1 * d1 - 4 * d0 * d2, den**4)
 
@@ -376,7 +431,7 @@ def classify(r: BinaryCubic | DualCubic) -> OrbitClass:
     Both invariants are tested for zero on r's integer numerators: a common
     denominator does not change which of them vanish.
     """
-    nums, _ = common_denominator(r.coeffs)
+    nums, _ = r.integers()
     if not any(nums):
         return OrbitClass.C0
     d0, d1, d2 = _hessian_integers(nums)
@@ -395,18 +450,36 @@ def divides(u: Line, r: BinaryCubic | DualCubic) -> int:
     """Largest k with u(x,y)^k dividing r, by exact polynomial division.
 
     By convention the zero cubic is divisible by every line (returns 3).
+    The division runs on r's integer numerators and the primitive integer
+    form of u: by Gauss's lemma a primitive form divides an integer
+    polynomial over the rationals iff it does over the integers, so a step
+    that leaves a fraction ends the count.
     """
     if r.is_zero():
         return 3
-    p = to_plain(r.coeffs)
+    p = to_plain(r.integers()[0])
+    (u1, u2), _ = common_denominator((u.u1, u.u2))
     mult = 0
     while mult < 3:
-        q, exact = divide_by_form(p, u.u1, u.u2)
-        if not exact:
+        p = _divide_by_integer_form(p, u1, u2)
+        if p is None:
             break
-        p = q
         mult += 1
     return mult
+
+
+def _divide_by_integer_form(p: list[int], u1: int, u2: int) -> list[int] | None:
+    """p / (u1*y - u2*x) over the integers for a primitive form; None when
+    the quotient is not an integer polynomial or leaves a remainder."""
+    if u1 == 0:  # form is -u2*x with u2 = +-1: divisible iff p[0] vanishes
+        return None if p[0] else [-u2 * c for c in p[1:]]
+    q, carry = [], 0
+    for c in p[:-1]:
+        carry, rem = divmod(c + u2 * carry, u1)
+        if rem:
+            return None
+        q.append(carry)
+    return None if p[-1] + u2 * carry else q
 
 
 def rational_lines(r: BinaryCubic | DualCubic):

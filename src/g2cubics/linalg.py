@@ -345,16 +345,22 @@ def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:
 # ---------------------------------------------------------------------------
 
 
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    """Product of two nonempty coefficient lists (Fractions or ints), by
-    index: entry k of the result is the sum of p[i] q[j] over i + j = k."""
-    (p, pden), (q, qden) = common_denominator(p), common_denominator(q)
+def int_poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """Product of two nonempty integer coefficient lists, by index: entry k
+    of the result is the sum of p[i] q[j] over i + j = k."""
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
+    return out
+
+
+def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
+    """Product of two nonempty coefficient lists (Fractions or ints), by
+    index, over their cleared integer numerators."""
+    (p, pden), (q, qden) = common_denominator(p), common_denominator(q)
     den = pden * qden
-    return [Fraction(v, den) for v in out]
+    return [Fraction(v, den) for v in int_poly_mul(p, q)]
 
 
 def _trim(coeffs: list) -> tuple:
@@ -418,40 +424,12 @@ class Poly:
             n >>= 1
         return result
 
-    def scale(self, c) -> "Poly":
-        c = rational(c)
-        return Poly([c * x for x in self.coeffs])
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        num = list(self.coeffs)
-        den = other.coeffs
-        if len(num) < len(den):
-            return Poly(), self
-        qcoeffs = [Fraction(0)] * (len(num) - len(den) + 1)
-        for i in range(len(num) - len(den), -1, -1):
-            c = num[i + len(den) - 1] / den[-1]
-            qcoeffs[i] = c
-            if c != 0:
-                for j, d in enumerate(den):
-                    num[i + j] -= c * d
-        return Poly(qcoeffs), Poly(num)
-
     def __call__(self, x) -> Fraction:
         x = rational(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def content_and_primitive(self) -> tuple[Fraction, "Poly"]:
-        """Write self = content * primitive with integer primitive coefficients."""
-        if self.is_zero():
-            return Fraction(0), Poly()
-        ints, den = common_denominator(self.coeffs)
-        g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-        return Fraction(g, den), Poly([c // g for c in ints])
 
     def __repr__(self):
         if self.is_zero():
@@ -475,15 +453,23 @@ def _primitive(coeffs: list[int]) -> list[int]:
     return [c // g for c in coeffs]
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic-normalized polynomial gcd over the rationals.
+def _signed_content(coeffs: list[int]) -> int:
+    """The content of a nonzero integer coefficient list, signed like its
+    leading coefficient, so the quotient has a positive leading one."""
+    g = gcd(*coeffs)
+    return g if coeffs[-1] > 0 else -g
 
-    Both inputs are cleared to primitive integer polynomials and reduced by
-    the primitive pseudo-remainder sequence over Python ints; only the
-    final gcd is divided by its leading coefficient.
+
+def int_poly_gcd(p: list[int], q: list[int]) -> list[int]:
+    """A primitive gcd of two integer coefficient lists (lowest degree
+    first, trimmed), up to sign; [] when both are zero.
+
+    Both are made primitive and reduced by the primitive pseudo-remainder
+    sequence over Python ints: each step scales the remainder by the
+    smallest factor that cancels its leading term, and each new remainder is
+    made primitive.
     """
-    p = _primitive(common_denominator(a.coeffs)[0])
-    q = _primitive(common_denominator(b.coeffs)[0])
+    p, q = _primitive(p), _primitive(q)
     while q:
         r, lead, n = p, q[-1], len(q)
         while len(r) >= n:  # one pseudo-division step: cancel r's leading term
@@ -497,9 +483,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             while r and r[-1] == 0:
                 r.pop()
         p, q = q, _primitive(r)
-    if not p:
-        return Poly()
-    return Poly([Fraction(c, p[-1]) for c in p])
+    return p
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
+    """f / g for integer lists where g divides f over the integers; every
+    step of the long division is then an exact integer division."""
+    f = list(f)
+    lead, n = g[-1], len(g)
+    out = [0] * (len(f) - n + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = out[i] = f[i + n - 1] // lead
+        if c:
+            for j, d in enumerate(g):
+                f[i + j] -= c * d
+    return out
 
 
 class RationalFunctionQ:
@@ -520,14 +518,18 @@ class RationalFunctionQ:
         if num.is_zero():
             self.num, self.den = Poly(), Poly.const(1)
             return
-        g = poly_gcd(num, den)
-        num, _ = num.divmod(g)
-        den, _ = den.divmod(g)
-        cn, pn = num.content_and_primitive()
-        cd, pd = den.content_and_primitive()
-        ratio = cn / cd
-        self.num = pn.scale(ratio)
-        self.den = pd
+        # num / den = (n / nden) / (d / dden): split off the signed contents,
+        # divide both primitive parts by their primitive gcd (exact over the
+        # integers by Gauss's lemma) and keep one content ratio
+        (n, nden), (d, dden) = common_denominator(num.coeffs), common_denominator(den.coeffs)
+        cn, cd = _signed_content(n), _signed_content(d)
+        n, d = [c // cn for c in n], [c // cd for c in d]
+        g = int_poly_gcd(n, d)
+        if g[-1] < 0:
+            g = [-c for c in g]
+        ratio = Fraction(cn * dden, cd * nden)
+        self.num = Poly([ratio * c for c in _exact_quotient(n, g)])
+        self.den = Poly(_exact_quotient(d, g))
 
     @classmethod
     def const(cls, c) -> "RationalFunctionQ":
@@ -568,11 +570,8 @@ class RationalFunctionQ:
 
     def __pow__(self, n: int) -> "RationalFunctionQ":
         if n < 0:
-            return RationalFunctionQ(self.den, self.num) ** (-n)
-        out = RationalFunctionQ.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+            return RationalFunctionQ(self.den ** (-n), self.num ** (-n))
+        return RationalFunctionQ(self.num**n, self.den**n)
 
     def __repr__(self):
         return f"RationalFunctionQ({self.num!r} / {self.den!r})"

@@ -37,7 +37,7 @@ from .cubics import (
     poly_dy,
     to_plain,
 )
-from .linalg import Matrix, Poly, common_denominator, eval_q, invert, poly_gcd, poly_mul, rank
+from .linalg import Matrix, eval_q, int_poly_gcd, int_poly_mul, invert, rank
 from .packets import Derived
 
 
@@ -56,9 +56,17 @@ _RANDOM_FRACTIONS = {(n, d): Fraction(n, d) for n in range(-4, 5) for d in (1, 2
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
-    num = rng.randint(-4, 4)
-    den = rng.choice(_RANDOM_DENOMINATORS)
-    return _RANDOM_FRACTIONS[num, den]
+    """The draw of rng.randint(-4, 4) and rng.choice(_RANDOM_DENOMINATORS),
+    made with the same getrandbits calls those make: the smallest number of
+    bits that holds the range size, redrawn until it falls inside."""
+    bits = rng.getrandbits
+    num = bits(4)
+    while num >= 9:
+        num = bits(4)
+    den = bits(3)
+    while den >= 5:
+        den = bits(3)
+    return _RANDOM_FRACTIONS[num - 4, _RANDOM_DENOMINATORS[den]]
 
 
 def _random_cubic(rng: random.Random) -> BinaryCubic:
@@ -76,8 +84,9 @@ def _random_group_element(rng: random.Random) -> GroupElement:
             return h
 
 
-def _gcd_poly(p, q):
-    """Homogeneous gcd returned as a plain-basis polynomial."""
+def _gcd_poly(p: list[int], q: list[int]) -> list[int]:
+    """Homogeneous gcd of two integer plain-basis polynomials, up to a
+    constant factor."""
     # strip the x- and y-powers, take the univariate gcd, reassemble
     def split(p):
         if not any(p):
@@ -93,7 +102,7 @@ def _gcd_poly(p, q):
         return list(p)
     xp, yp, a = sp
     xq, yq, b = sq
-    core = list(poly_gcd(Poly(a), Poly(b)).coeffs)
+    core = int_poly_gcd(a, b)
     gx, gy = min(xp, xq), min(yp, yq)
     return [0] * gx + core + [0] * gy
 
@@ -103,7 +112,7 @@ def _has_repeated_root(r: BinaryCubic) -> bool:
 
     It runs on r's integer numerators, which have the same roots as r.
     """
-    p = to_plain(common_denominator(r.coeffs)[0])
+    p = to_plain(r.integers()[0])
     if not any(p):
         return True
     g = _gcd_poly(_gcd_poly(p, poly_dx(p)), poly_dy(p))
@@ -207,16 +216,15 @@ def check_hessian_quarter_determinant(trials: int = 200, seed: int = 107) -> str
     rng = random.Random(seed)
     for k in range(trials):
         r = _random_cubic(rng)
-        p = to_plain(r.coeffs)
+        # the expansion runs on r's integer numerators R = den r, whose
+        # Hessian determinant is den^2 times r's
+        nums, den = r.integers()
+        p = to_plain(nums)
         px, py = poly_dx(p), poly_dy(p)
         pyy, pyx = poly_dy(py), poly_dx(py)
         pxx = poly_dx(px)
-        det = [Fraction(0)] * 3
-        for i, c in enumerate(poly_mul(pyy, pxx)):
-            det[i] += c
-        for i, c in enumerate(poly_mul(pyx, pyx)):
-            det[i] -= c
-        quarter = [c / 4 for c in det]
+        det = [a - b for a, b in zip(int_poly_mul(pyy, pxx), int_poly_mul(pyx, pyx))]
+        quarter = [Fraction(c, 4 * den * den) for c in det]
         d0, d1, d2 = hessian_quadratic(r)
         if quarter != [d0, d1, d2]:
             return f"trial {k}: expansion {quarter} != formula {(d0, d1, d2)}"

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from g2cubics.cubics import (
     _substitute,
@@ -279,3 +282,52 @@ def test_json_encoding():
 def test_representatives_table():
     for orbit, rep in REPRESENTATIVES.items():
         assert classify(rep) is orbit
+
+
+# -- the integer form -------------------------------------------------------------
+
+
+@st.composite
+def fractions(draw):
+    """A Fraction with 1- to 1000-digit parts, of either sign; a sixth are 0
+    and half the others have denominator 1."""
+    if draw(st.integers(0, 5)) == 0:
+        return Fraction(0)
+    bound = 10 ** draw(st.sampled_from((1, 2, 20, 100, 1000)))
+    den = 1 if draw(st.booleans()) else draw(st.integers(1, bound))
+    return Fraction(draw(st.integers(-bound, bound)), den)
+
+
+vectors = st.tuples(*[fractions()] * 4)
+ZERO = (0, 0, 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors)
+@example(ZERO)
+@example((-3, 6, 0, -9))
+@example((Fraction(-1, 6), Fraction(5, 4), 0, Fraction(-7, 10)))
+def test_integer_form_is_the_cleared_coefficients(coeffs):
+    for cls in (BinaryCubic, DualCubic):
+        v = cls(*coeffs)
+        nums, den = v.integers()
+        assert (list(nums), den) == common_denominator(v.coeffs)
+        assert den > 0 and gcd(den, *nums) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[fractions()] * 4), vectors, vectors)
+@example((0, 1, 1, 0), ZERO, ZERO)  # det -1
+@example((Fraction(-1, 2), 0, 0, 3), (2, -4, 6, 8), (-3, 0, 9, 6))
+@example((1, 0, 0, 1), (Fraction(1, 3), Fraction(-2, 3), 1, 0), (Fraction(-5, 7), 0, 0, 1))
+def test_action_results_are_in_the_unique_integer_form(entries, r, s):
+    h = GroupElement(*entries)
+    assume(h.det() != 0)
+    for out in (act(h, BinaryCubic(*r)), act_dual(h, DualCubic(*s))):
+        nums, den = out.integers()
+        assert den > 0 and gcd(den, *nums) == 1
+        rebuilt = type(out)(*out.coeffs)
+        assert out.integers() == rebuilt.integers()
+        assert out == rebuilt and rebuilt == out
+        assert hash(out) == hash(rebuilt)
+        assert out.to_json() == rebuilt.to_json()

@@ -9,11 +9,12 @@ the same exception with the same message on both sides.
 
 import re
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from g2cubics import linalg, rootdata
@@ -22,6 +23,7 @@ from g2cubics.cubics import (
     BinaryCubic,
     DualCubic,
     GroupElement,
+    Line,
     OrbitClass,
     SingularGroupElement,
     act,
@@ -29,9 +31,19 @@ from g2cubics.cubics import (
     act_matrix,
     classify,
     discriminant,
+    divide_by_form,
+    divides,
+    evaluate,
     hessian_quadratic,
 )
-from g2cubics.linalg import Matrix, Poly, RationalFunctionQ, poly_gcd, poly_mul
+from g2cubics.linalg import (
+    Matrix,
+    Poly,
+    RationalFunctionQ,
+    common_denominator,
+    int_poly_gcd,
+    poly_mul,
+)
 
 DIGITS = (1, 2, 20, 100, 1000)
 
@@ -211,15 +223,69 @@ def fraction_matvec(m, v):
     return [sum((m[i, k] * v[k] for k in range(m.cols)), Fraction(0)) for i in range(m.rows)]
 
 
+def fraction_poly_divmod(a, b):
+    """Quotient and remainder of a by a nonzero b, by long division over
+    Fractions."""
+    num, den = list(a.coeffs), b.coeffs
+    quotient = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(num) - len(den), -1, -1):
+        c = quotient[i] = num[i + len(den) - 1] / den[-1]
+        if c != 0:
+            for j, d in enumerate(den):
+                num[i + j] -= c * d
+    return Poly(quotient), Poly(num)
+
+
 def fraction_poly_gcd(a, b):
     """Euclid over Fractions, made monic."""
     while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
+        a, b = b, fraction_poly_divmod(a, b)[1]
     if a.is_zero():
         return a
     lead = a.coeffs[-1]
     return Poly([c / lead for c in a.coeffs])
+
+
+def fraction_int_poly_gcd(p, q):
+    """The monic gcd of the Fraction Euclid, cleared to a primitive integer
+    list (a monic list clears to a primitive one)."""
+    return common_denominator(fraction_poly_gcd(Poly(p), Poly(q)).coeffs)[0]
+
+
+def fraction_content_and_primitive(p):
+    """p = content * primitive, the primitive part integral with a positive
+    leading coefficient."""
+    ints, den = common_denominator(p.coeffs)
+    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return Fraction(g, den), Poly([c // g for c in ints])
+
+
+def fraction_rational_function(num, den):
+    """The canonical (num, den) coefficients by the monic Fraction gcd,
+    Fraction division and one content ratio."""
+    if num.is_zero():
+        return (), (Fraction(1),)
+    g = fraction_poly_gcd(num, den)
+    cn, pn = fraction_content_and_primitive(fraction_poly_divmod(num, g)[0])
+    cd, pd = fraction_content_and_primitive(fraction_poly_divmod(den, g)[0])
+    return tuple(cn / cd * c for c in pn.coeffs), pd.coeffs
+
+
+def fraction_evaluate(r, x, y):
+    r0, r1, r2, r3 = r.coeffs
+    return r0 * y**3 - 3 * r1 * y**2 * x - 3 * r2 * y * x**2 - r3 * x**3
+
+
+def fraction_divides(u, r):
+    if r.is_zero():
+        return 3
+    p, mult = fraction_to_plain(r.coeffs), 0
+    while mult < 3:
+        p, exact = divide_by_form(p, u.u1, u.u2)
+        if not exact:
+            break
+        mult += 1
+    return mult
 
 
 # -- cubics ---------------------------------------------------------------------
@@ -261,6 +327,31 @@ def test_invariants_match_fraction_reference(r):
     assert discriminant(r) == fraction_discriminant(r)
     assert classify(r) is fraction_classify(r)
     assert classify(DualCubic(*r.coeffs)) is fraction_classify(r)
+
+
+@st.composite
+def divided_cubics(draw):
+    """A line and a cubic that it divides at least k times, k = 0..3."""
+    u1, u2 = draw(fractions()), draw(fractions())
+    assume(u1 != 0 or u2 != 0)
+    u, k = Line(u1, u2), draw(st.integers(0, 3))
+    plain = [draw(fractions()) for _ in range(4 - k)]
+    for _ in range(k):
+        plain = fraction_poly_mul(plain, [u.u1, -u.u2])
+    return u, BinaryCubic(*fraction_from_plain(plain))
+
+
+@settings(max_examples=150, deadline=None)
+@given(divided_cubics(), fractions(), fractions())
+@example((Line(0, 1), BinaryCubic(0, 1, 0, 0)), Fraction(0), Fraction(1))
+@example((Line(1, 0), BinaryCubic(0, 0, 0, 0)), Fraction(-2, 3), Fraction(5))
+@example((Line(3, 2), BinaryCubic(8, -4, 2, -1)), Fraction(1, 2), Fraction(-7, 4))
+def test_division_and_evaluation_match_fraction_reference(line_and_cubic, x, y):
+    u, r = line_and_cubic
+    assert divides(u, r) == fraction_divides(u, r)
+    assert divides(u, DualCubic(*r.coeffs)) == fraction_divides(u, r)
+    assert evaluate(r, x, y) == fraction_evaluate(r, x, y)
+    assert evaluate(r, u.u1, u.u2) == fraction_evaluate(r, u.u1, u.u2)
 
 
 def test_line_products_reach_every_orbit():
@@ -339,7 +430,8 @@ def poly_pairs(draw):
 @example((Poly([-1, 0, 1]), Poly([Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)])))
 def test_poly_gcd_matches_sympy(pair):
     a, b = pair
-    got = poly_gcd(a, b)
+    g = int_poly_gcd(common_denominator(a.coeffs)[0], common_denominator(b.coeffs)[0])
+    got = Poly([Fraction(c, g[-1]) for c in g])
     assert got == fraction_poly_gcd(a, b)
     x = sympy.Symbol("x")
     expected = sympy.gcd(to_sympy(a, x), to_sympy(b, x))
@@ -348,6 +440,23 @@ def test_poly_gcd_matches_sympy(pair):
     else:
         coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(expected.monic().all_coeffs())]
         assert list(got.coeffs) == coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs(), st.integers(-3, 3))
+@example((Poly([0, 2, 4]), Poly([Fraction(1, 3), 0, Fraction(2, 3)])), 2)
+@example((Poly([-6, 0, -3]), Poly([0, -2])), -1)
+@example((Poly(), Poly([Fraction(-2, 5), 1])), 0)
+def test_rational_functions_match_fraction_reference(pair, n):
+    num, den = pair
+    assume(not den.is_zero())
+    f = RationalFunctionQ(num, den)
+    assert (f.num.coeffs, f.den.coeffs) == fraction_rational_function(num, den)
+    assume(n >= 0 or not f.num.is_zero())
+    power = RationalFunctionQ.const(1)
+    for _ in range(abs(n)):
+        power = power * f if n > 0 else power / f
+    assert f**n == power
 
 
 def test_formal_degree_data_is_unchanged():
@@ -362,7 +471,7 @@ def test_formal_degree_data_is_unchanged():
 
     assert payload() == pinned
     assert rootdata.dim_sigma_simplified().to_json() == pinned["dim_sigma"]
-    with mock.patch.object(linalg, "poly_gcd", fraction_poly_gcd):
+    with mock.patch.object(linalg, "int_poly_gcd", fraction_int_poly_gcd):
         assert payload() == pinned
         reference = RationalFunctionQ(Poly([0, 2, 4]), Poly([Fraction(1, 3), 0, Fraction(2, 3)]))
     assert RationalFunctionQ(Poly([0, 2, 4]), Poly([Fraction(1, 3), 0, Fraction(2, 3)])) == reference

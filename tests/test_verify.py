@@ -1,10 +1,15 @@
 import ast
+import contextlib
 import hashlib
 import inspect
 import random
+import sys
 import textwrap
+from fractions import Fraction
+from unittest import mock
 
-from g2cubics import verify
+from g2cubics import linalg, verify
+from g2cubics.cubics import GroupElement
 from g2cubics.linalg import format_rational
 from g2cubics.packets import Derived
 from g2cubics.sheaves import TABLES, SimpleObject
@@ -122,3 +127,52 @@ def test_random_draws_are_unchanged():
     for seed, (fractions, elements) in DRAW_DIGESTS.items():
         assert digest(lambda rng: format_rational(verify._random_fraction(rng)), seed) == fractions
         assert digest(lambda rng: repr(verify._random_group_element(rng)), seed) == elements
+
+
+def test_random_fraction_is_randint_then_choice():
+    # the direct getrandbits draws must return what randint(-4, 4) and
+    # choice(_RANDOM_DENOMINATORS) return and consume the same bits
+    for seed in range(10):
+        fast, reference = random.Random(seed), random.Random(seed)
+        for _ in range(10_000):
+            num = reference.randint(-4, 4)
+            den = reference.choice(verify._RANDOM_DENOMINATORS)
+            assert verify._random_fraction(fast) == Fraction(num, den)
+        assert fast.getstate() == reference.getstate()
+
+
+def _clears_and_draws(check, trials):
+    """Run check(trials=trials); return the number of common_denominator
+    calls, counted in every module that imports it, and the number of group
+    elements drawn (each draw asks once for its determinant)."""
+    clears = []
+    real = linalg.common_denominator
+
+    def counted(values):
+        clears.append(1)
+        return real(values)
+
+    modules = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("g2cubics") and getattr(module, "common_denominator", None) is real
+    ]
+    with contextlib.ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "common_denominator", counted))
+        det = stack.enter_context(
+            mock.patch.object(GroupElement, "det", autospec=True, side_effect=GroupElement.det)
+        )
+        assert check(trials=trials) is None
+    return len(clears), det.call_count
+
+
+def test_each_random_operand_is_cleared_once():
+    # a trial clears each of its random operands once, and an element
+    # redrawn for being singular once more; results of act/act_dual are
+    # born in integer form and every reader shares the kept one
+    trials = 100
+    clears, draws = _clears_and_draws(verify.check_pairing_invariance, trials)
+    assert clears <= 3 * trials + (draws - trials)  # r, s, h
+    clears, draws = _clears_and_draws(verify.check_classify_invariance, trials)
+    assert clears <= 2 * trials + (draws - trials)  # r, h
