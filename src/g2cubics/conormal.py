@@ -5,7 +5,8 @@ its regular strata pair an orbit with its dual orbit.  Stabilizer component
 groups are computed honestly: every finite generator is g b g^{-1}, with b
 from a fixed stabilizer of a base point and g an explicit element moving the
 base point's lines onto the input's, and every generator is verified to fix
-its input, while dimensions come from the kernel of the infinitesimal action.
+its input.  Dimensions are the strata's constants; `verify` checks them
+against the kernel of the infinitesimal action.
 """
 
 from __future__ import annotations
@@ -150,7 +151,10 @@ def moment_matrix_of(r: BinaryCubic) -> Matrix:
 
 
 def conormal_kernel(r: BinaryCubic) -> list[DualCubic]:
-    """Exact basis of {s : [r, s] = 0}; dimension 4, 2, 1, 0 on C0..C3."""
+    """Exact basis of {s : [r, s] = 0}; dimension 4 - dim(orbit of r), so
+    4, 2, 1 on C0..C2 (solved exactly) and none on the open orbit C3."""
+    if classify(r) is OrbitClass.C3:
+        return []
     return [DualCubic(*v) for v in kernel_basis(moment_matrix_of(r))]
 
 
@@ -350,14 +354,14 @@ def _order_two_pair_element(
 
 
 def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
-    """Stabilizer of a regular conormal point; S3, S2, S2, S3 on strata 0..3."""
+    """Stabilizer of a regular conormal point; S3, S2, S2, S3 on strata 0..3,
+    all finite, so of dimension 0."""
     stratum = in_lambda_regular(p)
     if stratum is None:
         raise NotRegularConormal(f"{p!r} is not on a regular conormal stratum")
-    dim = stabilizer_dimension(p.r, p.s)
     if stratum == 3:
-        return StabilizerDescription(dim, ComponentGroup.S3, _s3_stabilizer(p.r, p.s))
+        return StabilizerDescription(0, ComponentGroup.S3, _s3_stabilizer(p.r, p.s))
     if stratum == 0:
-        return StabilizerDescription(dim, ComponentGroup.S3, _dual_stabilizer_elements(p))
+        return StabilizerDescription(0, ComponentGroup.S3, _dual_stabilizer_elements(p))
     h = _order_two_pair_element(p.r, p.s, stratum)
-    return StabilizerDescription(dim, ComponentGroup.S2, [h])
+    return StabilizerDescription(0, ComponentGroup.S2, [h])

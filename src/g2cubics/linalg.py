@@ -6,13 +6,6 @@ Gauss-Jordan elimination with exact pivoting is all we need.  Elimination
 skips zeros: it updates only the rows with a nonzero entry in the pivot
 column, and in them only the pivot row's nonzero columns, so the sparse
 stalk system costs a fraction of a dense elimination.
-
-One shortcut runs modulo a prime, and it only ever proves: `kernel_basis`
-first reduces the rows, cleared to integers, modulo the constant prime
-P = 2**61 - 1.  Full column rank modulo P means a maximal minor is nonzero
-modulo P, hence nonzero over Q, so the kernel is empty.  Any other outcome
-proves nothing (a minor can vanish modulo P alone) and the exact
-elimination decides, as it does for every nonzero kernel.
 """
 
 from __future__ import annotations
@@ -242,35 +235,6 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
-# a fixed prime, so every run takes the same decisions; a Mersenne prime
-# keeps the residues within one machine word
-_P = 2**61 - 1
-
-
-def _full_column_rank_mod_p(rows: list[list[Fraction]]) -> bool:
-    """True when the rows certainly have full column rank over Q.
-
-    Each row is cleared to integers (a nonzero scaling keeps the rank) and
-    reduced modulo `_P`; elimination over GF(_P) that finds a pivot in every
-    column exhibits a maximal minor that is nonzero modulo `_P`, so it is a
-    nonzero integer.  False proves nothing: the rank over Q may be full
-    while every maximal minor is a multiple of `_P`.
-    """
-    m = [[x % _P for x in common_denominator(row)[0]] for row in rows]
-    for c in range(len(m[0])):
-        i = next((i for i, row in enumerate(m) if row[c]), None)
-        if i is None:
-            return False
-        prow = m.pop(i)
-        inv = pow(prow[c], -1, _P)
-        for row in m:
-            if row[c]:
-                f = row[c] * inv % _P
-                for j in range(c, len(row)):
-                    row[j] = (row[j] - f * prow[j]) % _P
-    return True
-
-
 def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
@@ -283,21 +247,12 @@ def kernel_basis(m: Matrix) -> list[list[Fraction]]:
 
     The basis is in the standard RREF form: one vector per free column, with
     a 1 in the free coordinate.  An empty matrix has the full standard basis.
-
-    Full column rank modulo the constant prime `_P` proves the kernel empty
-    and skips the exact elimination; this decides the open-orbit (C3)
-    `conormal_kernel` and the zero-dimensional `stabilizer_dimension` inside
-    `microlocal_stabilizer`.  Rank loss modulo `_P` proves nothing, so then,
-    and for every nonzero kernel, the Fraction elimination decides.
     """
     if m.rows == 0 or m.cols == 0:
         return [
             [Fraction(int(i == j)) for i in range(m.cols)] for j in range(m.cols)
         ]
-    rows = m.to_rows()
-    if _full_column_rank_mod_p(rows):
-        return []
-    rref, pivots = _rref(rows)
+    rref, pivots = _rref(m.to_rows())
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free:

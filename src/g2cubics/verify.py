@@ -37,7 +37,7 @@ from .cubics import (
     poly_dy,
     to_plain,
 )
-from .linalg import Matrix, eval_q, int_poly_gcd, int_poly_mul, invert, rank
+from .linalg import Matrix, eval_q, int_poly_gcd, int_poly_mul, invert, kernel_basis, rank
 from .packets import Derived
 
 
@@ -80,7 +80,7 @@ def _random_dual(rng: random.Random) -> DualCubic:
 def _random_group_element(rng: random.Random) -> GroupElement:
     while True:
         h = GroupElement(*(_random_fraction(rng) for _ in range(4)))
-        if h.det() != 0:
+        if h.integer_entries()[5] != 0:  # det(h) times den^2
             return h
 
 
@@ -302,13 +302,18 @@ def check_dual_action_matrix(trials: int = 50, seed: int = 112) -> str | None:
 
 
 def check_conormal_kernel_dims() -> str | None:
+    """The exact kernel of each representative's moment matrix has the
+    expected dimension, and `conormal_kernel` returns that basis."""
     expected = {OrbitClass.C0: 4, OrbitClass.C1: 2, OrbitClass.C2: 1, OrbitClass.C3: 0}
     for orbit, rep in REPRESENTATIVES.items():
-        got = len(conormal.conormal_kernel(rep))
+        solved = [DualCubic(*v) for v in kernel_basis(conormal.moment_matrix_of(rep))]
+        got = len(solved)
         if got != expected[orbit]:
             return f"{orbit}: kernel dim {got} != {expected[orbit]}"
         if got + orbit.dim != 4:
             return f"{orbit}: kernel dim + orbit dim != 4"
+        if conormal.conormal_kernel(rep) != solved:
+            return f"{orbit}: conormal_kernel differs from the solved kernel"
     return None
 
 
@@ -357,6 +362,9 @@ def check_stabilizer_orders() -> str | None:
         desc = conormal.stabilizer_of_cubic(rep)
         if desc.dimension != expected_dims[orbit]:
             return f"{orbit}: dimension {desc.dimension} != {expected_dims[orbit]}"
+        solved = conormal.stabilizer_dimension(rep)
+        if solved != desc.dimension:
+            return f"{orbit}: dimension {desc.dimension} != solved {solved}"
         elems = desc.group_elements()
         if len(elems) != expected_orders[orbit]:
             return f"{orbit}: component order {len(elems)} != {expected_orders[orbit]}"
@@ -371,6 +379,9 @@ def check_microlocal_orders() -> str | None:
     groups = {0: "S3", 1: "S2", 2: "S2", 3: "S3"}
     for stratum, point in conormal.canonical_regular_pairs().items():
         desc = conormal.microlocal_stabilizer(point)
+        solved = conormal.stabilizer_dimension(point.r, point.s)
+        if desc.dimension != solved:
+            return f"stratum {stratum}: dimension {desc.dimension} != solved {solved}"
         elems = desc.group_elements()
         if len(elems) != expected[stratum]:
             return f"stratum {stratum}: order {len(elems)} != {expected[stratum]}"

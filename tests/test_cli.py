@@ -181,10 +181,11 @@ def test_numeric_commands_past_the_int_str_digit_limit(capsys, n):
 
 
 def test_kernel_of_a_cubic_built_to_defeat_the_prime(capsys):
-    # -x * y * (P y - x), the lines [0:1], [1:0] and [P:1] for the prime P of
-    # the kernel's rank certificate: its moment matrix's determinant, a
-    # multiple of the discriminant, is 0 modulo P, so the exact path answers
-    p = 2**61 - 1
+    # -x * y * (P y - x), the lines [0:1], [1:0] and [P:1] for the Mersenne
+    # prime P = 2^61 - 1: its moment matrix's determinant, a multiple of the
+    # discriminant, is 0 modulo P, so no shortcut modulo P may decide it; the
+    # orbit decides it, with no elimination
+    p = 2305843009213693951
     r = ("0", f"{p}/3", "-1/3", "0")
     code, out, _ = run_cli(capsys, "--format", "json", "classify", *r)
     assert code == OK
@@ -193,7 +194,7 @@ def test_kernel_of_a_cubic_built_to_defeat_the_prime(capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "kernel", *r)
     assert code == OK
     assert json.loads(out) == {"basis": [], "dimension": 0}
-    assert exact.call_count == 1
+    assert exact.call_count == 0
 
 
 def _line_product(lines):
@@ -224,7 +225,7 @@ def test_kernel_at_twenty_thousand_digits(capsys, lines, dimension):
     payload = json.loads(out)
     assert payload["dimension"] == dimension
     validate_payload(payload)
-    # the rank certificate proves the empty kernel; a nonzero one is exact
+    # the open orbit's kernel is empty by its orbit; a nonzero one is solved
     assert exact.call_count == (dimension > 0)
 
 

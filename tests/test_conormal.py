@@ -4,7 +4,7 @@ from itertools import permutations
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from g2cubics import cli, conormal, linalg
@@ -20,6 +20,7 @@ from g2cubics.conormal import (
     in_lambda_regular,
     microlocal_stabilizer,
     moment,
+    moment_matrix_of,
     pairing,
     pairing_factored,
     stabilizer_dimension,
@@ -347,7 +348,41 @@ def test_open_strata_moved_by_the_group_stay_s3():
                 assert d.generators == stabilizer_of_cubic(p.r).generators
 
 
-def test_split_c3_stabilizer_solves_no_linear_system():
+@st.composite
+def group_elements(draw):
+    """An invertible g, its entries integers or fractions of 1 to 1000 digits."""
+    digits = draw(st.sampled_from((1, 2, 20, 100, 1000)))
+    ints = st.integers(-(10**digits), 10**digits)
+    den = st.one_of(st.just(1), st.integers(1, 10**digits))
+    g = GroupElement(*(Fraction(draw(ints), draw(den)) for _ in range(4)))
+    assume(g.det() != 0)
+    return g
+
+
+# the dimensions `microlocal_stabilizer` and `conormal_kernel` state by the
+# strata are checked against the exact elimination
+@settings(max_examples=30, deadline=None)
+@given(group_elements())
+@example(GroupElement(1, 0, 0, 1))
+@example(GroupElement(Fraction(10**999 + 7, 3**2000), 1 - 10**1000, 1, 10**1000))
+def test_microlocal_dimension_is_the_solved_one_on_moved_pairs(g):
+    for stratum, base in canonical_regular_pairs().items():
+        p = ConormalPoint(act(g, base.r), act_dual(g, base.s))
+        assert stabilizer_dimension(p.r, p.s) == microlocal_stabilizer(p).dimension == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(group_elements())
+@example(GroupElement(1, 0, 0, 1))
+@example(GroupElement(Fraction(10**999 + 7, 3**2000), 1 - 10**1000, 1, 10**1000))
+def test_conormal_kernel_is_the_solved_one_on_moved_representatives(g):
+    for rep in REPRESENTATIVES.values():
+        r = act(g, rep)
+        solved = [DualCubic(*v) for v in kernel_basis(moment_matrix_of(r))]
+        assert conormal_kernel(r) == solved
+
+
+def test_split_c3_stabilizer_solves_no_linear_system(capsys):
     counting = mock.Mock(wraps=linalg.kernel_basis)
     with mock.patch.object(linalg, "kernel_basis", counting), mock.patch.object(
         conormal, "kernel_basis", counting
@@ -355,7 +390,11 @@ def test_split_c3_stabilizer_solves_no_linear_system():
         assert cli.main(["stabilizer", "0", "-1/3", "-1/3", "0"]) == 0
         r = line_product((1, Fraction(2, 3)), (1, -5), (0, 1))
         assert len(stabilizer_of_cubic(r).generators) == 6
+        assert cli.main(["kernel", *map(str, r.coeffs)]) == 0
+        for point in canonical_regular_pairs().values():
+            assert microlocal_stabilizer(point).dimension == 0
     assert counting.call_count == 0
+    assert "kernel dimension 0" in capsys.readouterr().out
 
 
 def test_conjugates_reject_an_element_that_moves_the_point():

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -300,66 +299,20 @@ def _results(m, b):
     return out
 
 
-def test_zero_skipping_rref_matches_dense_elimination():
+@settings(max_examples=150)
+@given(st.one_of(_systems(), _full_column_rank_systems()))
+@example(([[Fraction(0)]], [1]))
+@example(_random_system(7, 8, 1))
+@example(_random_system(3, 4, 1000))
+@example(_random_system(4, 3, 1000))
+@example(([[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]], [1, 2]))
+def test_zero_skipping_rref_matches_dense_elimination(system):
     # the kernel is compared with the hand oracle, not with the library
-    # under a patched `_rref`, so the mod-P certificate that answers before
-    # `_rref` is checked too; the counts show it both fired and declined
-    answers = Counter()
-
-    @settings(max_examples=150)
-    @given(st.one_of(_systems(), _full_column_rank_systems()))
-    @example(([[Fraction(0)]], [1]))
-    @example(_random_system(7, 8, 1))
-    @example(_random_system(3, 4, 1000))
-    @example(_random_system(4, 3, 1000))
-    @example(([[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]], [1, 2]))
-    def check(system):
-        rows, b = system
-        assert linalg._rref(rows) == _dense_rref(rows)
-        m = Matrix.from_rows(rows)
-        assert kernel_basis(m) == _hand_gaussian_kernel(rows)
-        got = _results(m, b)
-        with mock.patch.object(linalg, "_rref", _dense_rref):
-            assert got == _results(m, b)
-
-    certificate = linalg._full_column_rank_mod_p
-
-    def counted(rows):
-        answer = certificate(rows)
-        answers[answer] += 1
-        return answer
-
-    with mock.patch.object(linalg, "_full_column_rank_mod_p", counted):
-        check()
-    assert answers[True] > 0 and answers[False] > 0
-
-
-P = linalg._P
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[P, 0], [0, 1]],  # a column that vanishes modulo P
-        [[P + 1, 1], [1, 1]],  # det = P
-        [[1, 2], [3, 6 + P], [5, 10 + 2 * P]],  # 2x2 minors P, 2P and P
-    ],
-)
-def test_certificate_declines_when_every_maximal_minor_is_a_multiple_of_p(rows):
+    # under a patched `_rref`
+    rows, b = system
+    assert linalg._rref(rows) == _dense_rref(rows)
     m = Matrix.from_rows(rows)
-    assert not linalg._full_column_rank_mod_p(m.to_rows())
-    with mock.patch.object(linalg, "_rref", wraps=linalg._rref) as exact:
-        kernel = kernel_basis(m)
-    assert exact.call_count == 1
-    assert kernel == [] == _hand_gaussian_kernel(rows)
-    assert len(kernel) == m.cols - rank(m)
-
-
-def test_certificate_fires_on_a_denominator_divisible_by_p():
-    # clearing the row [1/P, 0] gives [1, 0]: the P in the denominator
-    # never reaches the residues
-    rows = [[Fraction(1, P), 0], [0, 1]]
-    assert linalg._full_column_rank_mod_p(rows)
-    with mock.patch.object(linalg, "_rref", side_effect=AssertionError("exact path ran")):
-        assert kernel_basis(Matrix.from_rows(rows)) == []
-    assert rank(Matrix.from_rows(rows)) == 2
+    assert kernel_basis(m) == _hand_gaussian_kernel(rows)
+    got = _results(m, b)
+    with mock.patch.object(linalg, "_rref", _dense_rref):
+        assert got == _results(m, b)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import hashlib
 import inspect
 import random
@@ -8,10 +9,12 @@ import textwrap
 from fractions import Fraction
 from unittest import mock
 
-from g2cubics import linalg, verify
-from g2cubics.cubics import GroupElement
+import pytest
+
+from g2cubics import conormal, linalg, verify
+from g2cubics.cubics import GroupElement, OrbitClass, classify
 from g2cubics.linalg import format_rational
-from g2cubics.packets import Derived
+from g2cubics.packets import DERIVED, Derived
 from g2cubics.sheaves import TABLES, SimpleObject
 
 TAMPERED = Derived(TABLES.with_flipped_evs(SimpleObject.IC1_C1, 1))
@@ -42,6 +45,37 @@ def test_tampered_evs_reach_wrapped_checks():
         assert _failed("sheaves") == {"nevs-derivation", "nevs-diagonal"}
     finally:
         verify.CHECKS[:] = plain
+
+
+def _kernel_on_c2(fn, basis):
+    def kernel(r):
+        return basis(fn(r)) if classify(r) is OrbitClass.C2 else fn(r)
+
+    return kernel
+
+
+# the checks compare the dimensions the strata fix, and the kernel
+# `conormal_kernel` returns, with the exact elimination, so a drift on
+# either side fails them
+@pytest.mark.parametrize(
+    "name, tamper, failing",
+    [
+        ("microlocal_stabilizer", lambda fn: lambda p: dataclasses.replace(fn(p), dimension=1),
+         {"microlocal-stabilizer-orders"}),
+        ("conormal_kernel", lambda fn: _kernel_on_c2(fn, lambda basis: []),
+         {"conormal-kernel-dimensions"}),
+        ("conormal_kernel",
+         lambda fn: _kernel_on_c2(fn, lambda basis: [s.scale(2) for s in basis]),
+         {"conormal-kernel-dimensions"}),
+        ("stabilizer_dimension", lambda fn: lambda *args: fn(*args) + 1,
+         {"stabilizer-orders", "microlocal-stabilizer-orders"}),
+    ],
+    ids=["microlocal-dimension", "empty-c2-kernel", "scaled-c2-kernel", "solved-dimension"],
+)
+def test_geometry_checks_catch_a_tampered_dimension(name, tamper, failing):
+    with mock.patch.object(conormal, name, tamper(getattr(conormal, name))):
+        results = verify.run_checks("geometry", DERIVED)
+    assert {r.name for r in results if not r.passed} == failing
 
 
 def test_every_table_check_reads_its_tables():
@@ -144,7 +178,7 @@ def test_random_fraction_is_randint_then_choice():
 def _clears_and_draws(check, trials):
     """Run check(trials=trials); return the number of common_denominator
     calls, counted in every module that imports it, and the number of group
-    elements drawn (each draw asks once for its determinant)."""
+    elements drawn (each draw builds one `verify.GroupElement`)."""
     clears = []
     real = linalg.common_denominator
 
@@ -160,11 +194,11 @@ def _clears_and_draws(check, trials):
     with contextlib.ExitStack() as stack:
         for module in modules:
             stack.enter_context(mock.patch.object(module, "common_denominator", counted))
-        det = stack.enter_context(
-            mock.patch.object(GroupElement, "det", autospec=True, side_effect=GroupElement.det)
+        drawn = stack.enter_context(
+            mock.patch.object(verify, "GroupElement", wraps=GroupElement)
         )
         assert check(trials=trials) is None
-    return len(clears), det.call_count
+    return len(clears), drawn.call_count
 
 
 def test_each_random_operand_is_cleared_once():
