@@ -3,9 +3,12 @@
 The conormal variety is the vanishing locus of the 2x2 moment map [r, s];
 its regular strata pair an orbit with its dual orbit.  Stabilizer component
 groups are computed honestly: every finite generator is g b g^{-1}, with b
-from a fixed stabilizer of a base point and g an explicit element moving the
-base point's lines onto the input's, and every generator is verified to fix
-its input.  Dimensions are the strata's constants; `verify` checks them
+from a fixed stabilizer of a base point and g = `_line_frame(r)`, one
+explicit element moving the base lines onto the lines of r, and every
+generator is verified to fix its input.  Strata 0 and 1 are mirrors of
+strata 3 and 2: the moment map of the swapped pair (s, r) is the transpose
+of that of (r, s), and h |-> t(h^{-1}) carries the mirror's stabilizer onto
+the point's.  Dimensions are the strata's constants; `verify` checks them
 against the kernel of the infinitesimal action.
 """
 
@@ -21,6 +24,7 @@ from .cubics import (
     DualCubic,
     GroupElement,
     MultiplicityStructure,
+    ORBIT_TO_STRUCTURE,
     OrbitClass,
     act,
     act_dual,
@@ -159,13 +163,10 @@ def conormal_kernel(r: BinaryCubic) -> list[DualCubic]:
 
 
 def dual_orbit_class(i: int) -> MultiplicityStructure:
-    """Multiplicity structure of the dual orbit paired with stratum i."""
-    return {
-        0: MultiplicityStructure.THREE_DISTINCT,
-        1: MultiplicityStructure.DOUBLE_PLUS_SIMPLE,
-        2: MultiplicityStructure.TRIPLE_LINE,
-        3: MultiplicityStructure.ZERO,
-    }[i]
+    """Multiplicity structure of the dual orbit paired with stratum i: that
+    of the orbit C_{3-i}, since the swapped pair (s, r) has the transposed
+    moment map and so lies on stratum 3 - i."""
+    return ORBIT_TO_STRUCTURE[OrbitClass(3 - i)]
 
 
 def in_lambda_regular(p: ConormalPoint) -> int | None:
@@ -244,6 +245,11 @@ _S3_BASE = (
     GroupElement(-1, -1, 0, 1),
 )
 
+# base stabilizers on strata 2 and 3: of the canonical pair (-3 x y^2, -x^3),
+# whose double line is [1:0] and simple line [0:1], and of y x (x - y);
+# strata 0 and 1 reach them through the mirror
+_BASES = {2: (GroupElement.diagonal(-1, 1),), 3: _S3_BASE}
+
 
 def _conjugates(
     g: GroupElement, base: Sequence[GroupElement], r: BinaryCubic, s: DualCubic | None = None
@@ -263,31 +269,29 @@ def _conjugates(
     return out
 
 
-def _three_line_frame(r: BinaryCubic) -> GroupElement:
-    """An element sending the base lines [1:0], [0:1], [1:1] to r's three
-    rational lines, in the listing order of `rational_lines`.
+def _line_frame(r: BinaryCubic) -> GroupElement:
+    """An element sending the base lines [1:0], [0:1] (and [1:1]) to the
+    rational lines of a C2 or C3 cubic r: the double line first on C2, the
+    three lines in the listing order of `rational_lines` on C3.
 
-    h sends a line u to u adj(h), so adj(g) has rows alpha L0 and beta L1
-    with alpha L0 + beta L1 parallel to L2; Cramer's rule gives alpha and
-    beta on integer representatives of the lines.
+    h sends a line u to u adj(h), so adj(g) has rows alpha L0 and beta L1.
+    On C2 alpha = beta = 1; on C3 alpha L0 + beta L1 is parallel to L2, and
+    Cramer's rule gives alpha and beta on integer representatives of the lines.
     """
     lines, residual = rational_lines(r)
-    if residual != 0 or sorted(m for _, m in lines) != [1, 1, 1]:
+    if residual != 0:
         raise IrrationalSplitting(
             f"{r!r} does not split into three distinct rational lines"
         )
-    (p0, q0), (p1, q1), (p2, q2) = (common_denominator((u.u1, u.u2))[0] for u, _ in lines)
-    alpha, beta = p2 * q1 - q2 * p1, p0 * q2 - q0 * p2
+    # the double line first; the sort is stable, so C3 keeps the listing order
+    lines = sorted(lines, key=lambda lm: lm[1], reverse=True)
+    reps = [common_denominator((u.u1, u.u2))[0] for u, _ in lines]
+    (p0, q0), (p1, q1) = reps[:2]
+    alpha = beta = 1
+    if len(reps) == 3:
+        p2, q2 = reps[2]
+        alpha, beta = p2 * q1 - q2 * p1, p0 * q2 - q0 * p2
     return GroupElement(beta * q1, -alpha * q0, -beta * p1, alpha * p0)
-
-
-def _s3_stabilizer(r: BinaryCubic, s: DualCubic | None = None) -> list[GroupElement]:
-    """All six elements fixing a rational-split three-line cubic (and s).
-
-    t I acts on cubics by t, so one element realizes each permutation of
-    the lines and fixes r: the conjugate of the base element, unscaled.
-    """
-    return _conjugates(_three_line_frame(r), _S3_BASE, r, s)
 
 
 def stabilizer_of_cubic(r: BinaryCubic) -> StabilizerDescription:
@@ -303,54 +307,9 @@ def stabilizer_of_cubic(r: BinaryCubic) -> StabilizerDescription:
         # the repeated line of a C1 or C2 cubic is always rational
         dim = 2 if orbit is OrbitClass.C1 else 1
         return StabilizerDescription(dim, ComponentGroup.TRIVIAL, [])
-    elements = _s3_stabilizer(r)
-    return StabilizerDescription(0, ComponentGroup.S3, elements)
-
-
-def _dual_stabilizer_elements(p: ConormalPoint) -> list[GroupElement]:
-    """Six elements fixing (r, s) = (0, s), s a rational-split three-line
-    dual cubic.
-
-    act_dual(h, s) = act(t(h^{-1}), s read on the primal side), so the dual
-    stabilizer is the image of the primal one under h |-> t(h^{-1}), which
-    carries g b g^{-1} to the conjugate of t(b^{-1}) by t(g^{-1}).
-    """
-    g = _three_line_frame(BinaryCubic(*p.s.coeffs))
-    base = [b.inverse().transpose() for b in _S3_BASE]
-    return _conjugates(g.inverse().transpose(), base, p.r, p.s)
-
-
-def _order_two_pair_element(
-    r: BinaryCubic, s: DualCubic, stratum: int
-) -> GroupElement:
-    """The involution generating the S2 microlocal group on strata 1 and 2.
-
-    Found by conjugating the involution at the canonical base pair by an
-    explicit element moving the base pair onto (r, s) up to scalars.
-    """
-    if stratum == 2:
-        # r = u^2 u', lines rational; base pair ((0,1,0,0), (0,0,0,1))
-        lines, residual = rational_lines(r)
-        if residual != 0:
-            raise IrrationalSplitting(f"{r!r} has an irrational factor")
-        by_mult = {m: u for u, m in lines}
-        u, uprime = by_mult[2], by_mult[1]
-        # substitution sending the form y to u and the form x to u'
-        g = GroupElement(-uprime.u2, -u.u2, uprime.u1, u.u1)
-        base = GroupElement.diagonal(-1, 1)
-    else:
-        # r = u^3, s = v^2 v'; base pair ((1,0,0,0), (0,0,-1/3,0))
-        lines, residual = rational_lines(s)
-        if residual != 0:
-            raise IrrationalSplitting(f"{s!r} has an irrational factor")
-        by_mult = {m: v for v, m in lines}
-        v, vprime = by_mult[2], by_mult[1]
-        # dual-side substitution sending the form x to v and the form y to v',
-        # transported back to the primal side
-        gprime = GroupElement(-v.u2, -vprime.u2, v.u1, vprime.u1)
-        g = gprime.inverse().transpose()
-        base = GroupElement.diagonal(1, -1)
-    return _conjugates(g, [base], r, s)[0]
+    # t I acts on cubics by t, so one element realizes each permutation of
+    # the lines and fixes r: the conjugate of the base element, unscaled
+    return StabilizerDescription(0, ComponentGroup.S3, _conjugates(_line_frame(r), _S3_BASE, r))
 
 
 def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
@@ -359,9 +318,12 @@ def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
     stratum = in_lambda_regular(p)
     if stratum is None:
         raise NotRegularConormal(f"{p!r} is not on a regular conormal stratum")
-    if stratum == 3:
-        return StabilizerDescription(0, ComponentGroup.S3, _s3_stabilizer(p.r, p.s))
-    if stratum == 0:
-        return StabilizerDescription(0, ComponentGroup.S3, _dual_stabilizer_elements(p))
-    h = _order_two_pair_element(p.r, p.s, stratum)
-    return StabilizerDescription(0, ComponentGroup.S2, [h])
+    if stratum >= 2:
+        g, base = _line_frame(p.r), _BASES[stratum]
+    else:
+        # the mirror (s, r) lies on stratum 3 - i, and h |-> t(h^{-1}) carries
+        # its stabilizer g b g^{-1} to the conjugate of t(b^{-1}) by t(g^{-1})
+        g = _line_frame(BinaryCubic(*p.s.coeffs)).inverse().transpose()
+        base = [b.inverse().transpose() for b in _BASES[3 - stratum]]
+    group = ComponentGroup.S3 if stratum in (0, 3) else ComponentGroup.S2
+    return StabilizerDescription(0, group, _conjugates(g, base, p.r, p.s))

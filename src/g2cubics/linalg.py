@@ -341,9 +341,6 @@ class Poly:
     def q(cls) -> "Poly":
         return cls([0, 1])
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -327,24 +327,33 @@ def test_s3_generators_match_the_line_permutation_solve(r):
     assert got.to_json()["generators"] == [h.to_json() for h in reference_s3_generators(r)]
 
 
-def test_open_strata_moved_by_the_group_stay_s3():
+def mirror(p):
+    """The swapped pair (s, r): s read as a cubic, r as a dual cubic."""
+    return ConormalPoint(BinaryCubic(*p.s.coeffs), DualCubic(*p.r.coeffs))
+
+
+def test_regular_strata_moved_by_the_group_keep_their_groups():
     rng = random.Random(16)
     pairs = canonical_regular_pairs()
-    for stratum in (0, 3):
+    for stratum in range(4):
+        group, order = (ComponentGroup.S3, 6) if stratum in (0, 3) else (ComponentGroup.S2, 2)
         for _ in range(15):
             h = rng_element(rng).inverse() * rng_element(rng)  # fractional entries too
             p = ConormalPoint(act(h, pairs[stratum].r), act_dual(h, pairs[stratum].s))
             d = microlocal_stabilizer(p)
-            assert (d.dimension, d.component_group) == (0, ComponentGroup.S3)
+            assert (d.dimension, d.component_group) == (0, group)
             elems = d.group_elements()
-            assert len(elems) == 6
+            assert len(elems) == order
             for g in elems:
                 assert act(g, p.r) == p.r
                 assert act_dual(g, p.s) == p.s
-            if stratum == 0:  # the dual stabilizer is t(g^{-1}) of the primal one
+            if stratum < 2:  # t(g^{-1}) of the mirror's stabilizer, on stratum 3 - i
+                mirrored = microlocal_stabilizer(mirror(p)).generators
+                assert d.generators == [g.inverse().transpose() for g in mirrored]
+            if stratum == 0:  # the mirror's stabilizer is that of s read as a cubic
                 primal = stabilizer_of_cubic(BinaryCubic(*p.s.coeffs)).generators
                 assert d.generators == [g.inverse().transpose() for g in primal]
-            else:
+            if stratum == 3:
                 assert d.generators == stabilizer_of_cubic(p.r).generators
 
 
@@ -357,6 +366,52 @@ def group_elements(draw):
     g = GroupElement(*(Fraction(draw(ints), draw(den)) for _ in range(4)))
     assume(g.det() != 0)
     return g
+
+
+def reference_involution(r, s, stratum):
+    """The former frames of the S2 generator on strata 1 and 2: a substitution
+    sending the base lines onto the double and simple lines of r (stratum 2)
+    or, on the dual side, of s (stratum 1), conjugating a base involution."""
+    if stratum == 2:
+        by_mult = {m: u for u, m in rational_lines(r)[0]}
+        u, uprime = by_mult[2], by_mult[1]
+        g = GroupElement(-uprime.u2, -u.u2, uprime.u1, u.u1)
+        base = GroupElement.diagonal(-1, 1)
+    else:
+        by_mult = {m: v for v, m in rational_lines(s)[0]}
+        v, vprime = by_mult[2], by_mult[1]
+        g = GroupElement(-v.u2, -vprime.u2, v.u1, vprime.u1).inverse().transpose()
+        base = GroupElement.diagonal(1, -1)
+    return g * base * g.inverse()
+
+
+@st.composite
+def cubic_pairs(draw):
+    """(r, s) with entries integers or fractions of 1 to 1000 digits."""
+    digits = draw(st.sampled_from((1, 2, 20, 100, 1000)))
+    ints = st.integers(-(10**digits), 10**digits)
+    den = st.one_of(st.just(1), st.integers(1, 10**digits))
+    r, s = (tuple(Fraction(draw(ints), draw(den)) for _ in range(4)) for _ in range(2))
+    return BinaryCubic(*r), DualCubic(*s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(group_elements(), cubic_pairs())
+@example(GroupElement(1, 0, 0, 1), (BinaryCubic(1, 2, 3, 4), DualCubic(5, 6, 7, 8)))
+@example(
+    GroupElement(Fraction(10**999 + 7, 3**2000), 1 - 10**1000, 1, 10**1000),
+    (BinaryCubic(10**1000, Fraction(1, 3**2000), -7, 0), DualCubic(0, 1 - 10**999, 2, 3)),
+)
+def test_the_mirror_swaps_strata_and_keeps_the_involutions(g, pair):
+    r, s = pair
+    m = mirror(ConormalPoint(r, s))
+    assert moment(m.r, m.s) == moment(r, s).transpose()
+    for stratum, base in canonical_regular_pairs().items():
+        p = ConormalPoint(act(g, base.r), act_dual(g, base.s))
+        assert in_lambda_regular(mirror(p)) == 3 - stratum
+        if stratum in (1, 2):
+            [h] = microlocal_stabilizer(p).generators
+            assert h == reference_involution(p.r, p.s, stratum)
 
 
 # the dimensions `microlocal_stabilizer` and `conormal_kernel` state by the

@@ -1,13 +1,16 @@
 """Guard against dead helpers: every function, method and class defined in
-`src/g2cubics` must be named somewhere other than its own definition, in
-`src/` or `tests/`. Dunder methods are called by the language and exempt.
+`src/g2cubics` must be referenced somewhere in `src/` or `tests/`. Dunder
+methods are called by the language and exempt.
 
-The scan is by name, so a helper that shares its name with a live one (a
-module function `det` next to a method `GroupElement.det`) escapes it.
+A reference is a node of the syntax tree: a name (`act(...)`), an attribute
+(`r.integers()`) or an imported name (`from .cubics import act`). Words in
+strings, comments and longer identifiers do not count, so the method `degree`
+is not kept alive by `formal_degree` or `residual_degree`. The scan is still
+by name, so a helper that shares its name with a live one (a module function
+`det` next to a method `GroupElement.det`) escapes it.
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -15,24 +18,30 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "g2cubics"
 
 
-def _definitions() -> Counter:
-    names = Counter()
+def _definitions() -> set[str]:
+    names = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    names[node.name] += 1
+                    names.add(node.name)
     return names
 
 
-def _word_counts() -> Counter:
-    words = Counter()
+def _references() -> Counter:
+    refs = Counter()
     for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
-        words.update(re.findall(r"\w+", path.read_text()))
-    return words
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                refs[node.name] += 1
+    return refs
 
 
 def test_every_definition_is_named_elsewhere():
-    words = _word_counts()
-    dead = sorted(name for name, n in _definitions().items() if words[name] <= n)
+    refs = _references()
+    dead = sorted(name for name in _definitions() if refs[name] == 0)
     assert dead == []
