@@ -14,7 +14,6 @@ from .cubics import (
     DualCubic,
     GroupElement,
     Line,
-    MultiplicityStructure,
     OrbitClass,
     act,
     act_dual,
@@ -24,7 +23,6 @@ from .cubics import (
     divides,
     evaluate,
     hessian_quadratic,
-    multiplicity_structure,
     rational_lines,
 )
 from .conormal import (

@@ -21,7 +21,6 @@ from .cubics import (
     classify,
     discriminant,
     hessian_quadratic,
-    multiplicity_structure,
     rational_lines,
 )
 from .linalg import format_rational, parse_rational
@@ -91,7 +90,7 @@ def cmd_classify(args) -> int:
         "orbit_dimension": orbit.dim,
         "hessian_quadratic": [format_rational(x) for x in (d0, d1, d2)],
         "discriminant": format_rational(discriminant(r)),
-        "multiplicity_structure": multiplicity_structure(r).value,
+        "multiplicity_structure": orbit.structure,
     }
     if orbit is not OrbitClass.C0:
         lines, residual = rational_lines(r)

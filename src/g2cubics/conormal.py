@@ -23,13 +23,10 @@ from .cubics import (
     BinaryCubic,
     DualCubic,
     GroupElement,
-    MultiplicityStructure,
-    ORBIT_TO_STRUCTURE,
     OrbitClass,
     act,
     act_dual,
     classify,
-    multiplicity_structure,
     poly_dx,
     poly_dy,
     from_plain,
@@ -51,10 +48,6 @@ class ComponentGroup(enum.Enum):
     TRIVIAL = "trivial"
     S2 = "S2"
     S3 = "S3"
-
-    @property
-    def order(self) -> int:
-        return {"trivial": 1, "S2": 2, "S3": 6}[self.value]
 
 
 @dataclass(frozen=True)
@@ -162,11 +155,12 @@ def conormal_kernel(r: BinaryCubic) -> list[DualCubic]:
     return [DualCubic(*v) for v in kernel_basis(moment_matrix_of(r))]
 
 
-def dual_orbit_class(i: int) -> MultiplicityStructure:
-    """Multiplicity structure of the dual orbit paired with stratum i: that
-    of the orbit C_{3-i}, since the swapped pair (s, r) has the transposed
-    moment map and so lies on stratum 3 - i."""
-    return ORBIT_TO_STRUCTURE[OrbitClass(3 - i)]
+def dual_orbit_class(i: int) -> OrbitClass:
+    """The orbit with the root-multiplicity type of the dual orbit Ci* paired
+    with stratum i, i.e. `classify` of the dual cubics on stratum i: C_{3-i},
+    since the swapped pair (s, r) has the transposed moment map and so lies
+    on stratum 3 - i."""
+    return OrbitClass(3 - i)
 
 
 def in_lambda_regular(p: ConormalPoint) -> int | None:
@@ -174,7 +168,7 @@ def in_lambda_regular(p: ConormalPoint) -> int | None:
     if not moment(p.r, p.s).is_zero():
         return None
     i = classify(p.r).value
-    if multiplicity_structure(p.s) != dual_orbit_class(i):
+    if classify(p.s) is not dual_orbit_class(i):
         return None
     return i
 
@@ -301,12 +295,9 @@ def stabilizer_of_cubic(r: BinaryCubic) -> StabilizerDescription:
     representative; C3 inputs must have three rational lines.
     """
     orbit = classify(r)
-    if orbit is OrbitClass.C0:
-        return StabilizerDescription(4, ComponentGroup.TRIVIAL, [])
-    if orbit in (OrbitClass.C1, OrbitClass.C2):
-        # the repeated line of a C1 or C2 cubic is always rational
-        dim = 2 if orbit is OrbitClass.C1 else 1
-        return StabilizerDescription(dim, ComponentGroup.TRIVIAL, [])
+    if orbit is not OrbitClass.C3:
+        # connected: no finite part, and the dimension is 4 - dim(orbit)
+        return StabilizerDescription(4 - orbit.dim, ComponentGroup.TRIVIAL, [])
     # t I acts on cubics by t, so one element realizes each permutation of
     # the lines and fixes r: the conjugate of the base element, unscaled
     return StabilizerDescription(0, ComponentGroup.S3, _conjugates(_line_frame(r), _S3_BASE, r))

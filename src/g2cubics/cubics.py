@@ -61,35 +61,15 @@ def poly_dy(p: list) -> list:
     return [p[i] * (d - i) for i in range(d)]
 
 
-def divide_by_form(p: list[Fraction], u1: Fraction, u2: Fraction):
-    """Divide homogeneous p by the form u1*y - u2*x.
-
-    Returns (quotient, exact) where exact says the division left no remainder.
-    """
-    u1, u2 = rational(u1), rational(u2)
-    if u1 == 0 and u2 == 0:
-        raise ValueError("zero linear form")
-    d = len(p) - 1
-    if u1 != 0:
-        # synthetic division along descending powers of y
-        q = [Fraction(0)] * d
-        carry = Fraction(0)
-        for i in range(d):
-            q[i] = (rational(p[i]) + u2 * carry) / u1
-            carry = q[i]
-        remainder = rational(p[d]) + u2 * carry
-        return q, remainder == 0
-    # form is -u2*x: divisible iff the y^d coefficient vanishes
-    if rational(p[0]) != 0:
-        return [Fraction(0)] * d, False
-    return [rational(c) / (-u2) for c in p[1:]], True
-
-
 # -- domain types -------------------------------------------------------------
 
 
 class OrbitClass(enum.Enum):
-    """The four GL2 orbit classes of binary cubics, by increasing dimension."""
+    """The four GL2 orbit classes of binary cubics, by increasing dimension.
+
+    They are the four root-multiplicity types (`structure`), and the dual
+    orbits Ci* are the same four types on dual cubics.
+    """
 
     C0 = 0
     C1 = 1
@@ -100,21 +80,10 @@ class OrbitClass(enum.Enum):
     def dim(self) -> int:
         return {0: 0, 1: 2, 2: 3, 3: 4}[self.value]
 
-
-class MultiplicityStructure(enum.Enum):
-    ZERO = "zero"
-    TRIPLE_LINE = "triple_line"
-    DOUBLE_PLUS_SIMPLE = "double_plus_simple"
-    THREE_DISTINCT = "three_distinct"
-
-
-ORBIT_TO_STRUCTURE = {
-    OrbitClass.C0: MultiplicityStructure.ZERO,
-    OrbitClass.C1: MultiplicityStructure.TRIPLE_LINE,
-    OrbitClass.C2: MultiplicityStructure.DOUBLE_PLUS_SIMPLE,
-    OrbitClass.C3: MultiplicityStructure.THREE_DISTINCT,
-}
-STRUCTURE_TO_ORBIT = {v: k for k, v in ORBIT_TO_STRUCTURE.items()}
+    @property
+    def structure(self) -> str:
+        """The root-multiplicity type shared by the orbit's cubics."""
+        return ("zero", "triple_line", "double_plus_simple", "three_distinct")[self.value]
 
 
 class _CoeffVector:
@@ -442,10 +411,6 @@ def classify(r: BinaryCubic | DualCubic) -> OrbitClass:
     return OrbitClass.C3
 
 
-def multiplicity_structure(r: BinaryCubic | DualCubic) -> MultiplicityStructure:
-    return ORBIT_TO_STRUCTURE[classify(r)]
-
-
 def divides(u: Line, r: BinaryCubic | DualCubic) -> int:
     """Largest k with u(x,y)^k dividing r, by exact polynomial division.
 
@@ -491,25 +456,29 @@ def rational_lines(r: BinaryCubic | DualCubic):
     [0:1] first, then [1:0], then the lines [1:t] by (|num t|, den t) with
     t > 0 before -t.
 
-    The work is polynomial in the bit-length of r: the repeated line of a
-    C1 or C2 cubic is read off in closed form, and the simple lines of a C3
-    cubic come from Hensel lifting (`_monic_integer_roots`).
+    The work is polynomial in the bit-length of r and runs on its integer
+    form: the repeated line of a C1 or C2 cubic is read off in closed form,
+    and the simple lines of a C3 cubic come from Hensel lifting
+    (`_monic_integer_roots`).
     """
     if r.is_zero():
         raise ZeroCubic("the zero cubic has no well-defined root list")
-    p = to_plain(r.coeffs)
+    nums, _ = r.integers()
+    p = to_plain(nums)
     orbit = classify(r)
     if orbit is OrbitClass.C1:
-        # p = k u^3 with u = u1*y - u2*x: p[1]/p[0] = -3*u2/u1
-        line = Line(0, 1) if p[0] == 0 else Line(1, -p[1] / (3 * p[0]))
+        # p = k u^3 with u = u1*y - u2*x: (3 p[0], -p[1]) = 3 k u1^2 (u1, u2)
+        line = Line(0, 1) if p[0] == 0 else Line(3 * p[0], -p[1])
         return [(line, 3)], 0
     if orbit is OrbitClass.C2:
-        # the Hessian quadratic d0 y^2 + d1 xy + d2 x^2 is a multiple of u^2
-        d0, d1, _ = hessian_quadratic(r)
-        double = Line(0, 1) if d0 == 0 else Line(1, -d1 / (2 * d0))
-        p, _ = divide_by_form(p, double.u1, double.u2)
-        p, _ = divide_by_form(p, double.u1, double.u2)
-        simple = Line(p[0], -p[1])
+        # the Hessian quadratic d0 y^2 + d1 xy + d2 x^2 is a multiple of u^2,
+        # so (2 d0, -d1) is a multiple of (u1, u2); by Gauss's lemma the
+        # primitive u divides p exactly over the integers
+        d0, d1, _ = _hessian_integers(nums)
+        g = gcd(2 * d0, d1)
+        u1, u2 = (0, 1) if d0 == 0 else (2 * d0 // g, -d1 // g)
+        p = _divide_by_integer_form(_divide_by_integer_form(p, u1, u2), u1, u2)
+        double, simple = Line(u1, u2), Line(p[0], -p[1])
         return sorted([(double, 2), (simple, 1)], key=lambda lm: _line_order(lm[0])), 0
     lines = _simple_rational_lines(p)
     return [(u, 1) for u in lines], 3 - len(lines)
@@ -525,8 +494,8 @@ def _line_order(u: Line):
     return (2, abs(t.numerator), t.denominator, t < 0)
 
 
-def _simple_rational_lines(p: list[Fraction]) -> list[Line]:
-    """Rational zeros of a square-free plain-basis cubic, in listing order."""
+def _simple_rational_lines(p: list[int]) -> list[Line]:
+    """Rational zeros of a square-free integer plain-basis cubic, in listing order."""
     lines = []
     if p[0] == 0:  # x divides: the point (x, y) = (0, 1), line [0:1]
         lines.append(Line(0, 1))
@@ -540,14 +509,13 @@ def _simple_rational_lines(p: list[Fraction]) -> list[Line]:
         g.pop()
     while g[0] == 0:
         g.pop(0)
-    g, _ = common_denominator(g)
     content = gcd(*g)
     g = [c // content for c in g]
     # t = s/lead makes lead^(n-1) g(s/lead) monic with integer roots |s| <= |g0*lead|
     n, lead = len(g) - 1, g[-1]
     monic = [c * lead ** (n - 1 - j) for j, c in enumerate(g[:-1])] + [1]
     roots = _monic_integer_roots(monic, abs(g[0] * lead))
-    lines.extend(sorted((Line(1, Fraction(s, lead)) for s in roots), key=_line_order))
+    lines.extend(sorted((Line(lead, s) for s in roots), key=_line_order))
     return lines
 
 

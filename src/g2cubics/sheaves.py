@@ -18,14 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .cubics import (
-    MultiplicityStructure,
-    OrbitClass,
-    RATIONAL_SPLIT_REPRESENTATIVES,
-    STRUCTURE_TO_ORBIT,
-    multiplicity_structure,
-    rational_lines,
-)
+from .cubics import OrbitClass, RATIONAL_SPLIT_REPRESENTATIVES, classify, rational_lines
 from .conormal import dual_orbit_class
 from .linalg import Matrix, rank, solve
 
@@ -256,12 +249,9 @@ def _line_census(orbit: OrbitClass) -> tuple[int, int]:
     lines, residual = rational_lines(r)
     assert residual == 0
     distinct = len(lines)
-    orderings = {  # permutations of the multiset of line multiplicities
-        MultiplicityStructure.TRIPLE_LINE: 1,
-        MultiplicityStructure.DOUBLE_PLUS_SIMPLE: 3,
-        MultiplicityStructure.THREE_DISTINCT: 6,
-    }
-    return distinct, orderings[multiplicity_structure(r)]
+    # permutations of the multiset of line multiplicities
+    orderings = {OrbitClass.C1: 1, OrbitClass.C2: 3, OrbitClass.C3: 6}
+    return distinct, orderings[classify(r)]
 
 
 def recomputed_finite_fiber_counts() -> dict[tuple[Cover, OrbitClass], int]:
@@ -431,8 +421,7 @@ def fourier(obj: SimpleObject, tables: SheafTables) -> tuple[DualSimpleObject, S
     """
     dual_index, system = tables.fourier_dual[obj]
     dual_obj = DualSimpleObject(dual_index, system)
-    structure = dual_orbit_class(dual_index)
-    primal_orbit = STRUCTURE_TO_ORBIT[structure]
+    primal_orbit = dual_orbit_class(dual_index)
     for candidate in SIMPLE_ORDER:
         if candidate.support is primal_orbit and candidate.local_system == system:
             return dual_obj, candidate

@@ -31,11 +31,11 @@ from g2cubics.cubics import (
     DualCubic,
     GroupElement,
     Line,
-    MultiplicityStructure,
     OrbitClass,
     REPRESENTATIVES,
     act,
     act_dual,
+    classify,
     divides,
     from_plain,
     rational_lines,
@@ -158,10 +158,21 @@ def test_kernel_membership_is_equivariant():
 
 
 def test_dual_orbit_classes():
-    assert dual_orbit_class(3) is MultiplicityStructure.ZERO
-    assert dual_orbit_class(2) is MultiplicityStructure.TRIPLE_LINE
-    assert dual_orbit_class(1) is MultiplicityStructure.DOUBLE_PLUS_SIMPLE
-    assert dual_orbit_class(0) is MultiplicityStructure.THREE_DISTINCT
+    assert [dual_orbit_class(i) for i in range(4)] == [
+        OrbitClass.C3,
+        OrbitClass.C2,
+        OrbitClass.C1,
+        OrbitClass.C0,
+    ]
+    # the dual cubic of each canonical pair has the type of its dual orbit
+    for i, p in canonical_regular_pairs().items():
+        assert classify(p.s) is dual_orbit_class(i)
+    assert [dual_orbit_class(i).structure for i in range(4)] == [
+        "three_distinct",
+        "double_plus_simple",
+        "triple_line",
+        "zero",
+    ]
 
 
 def test_in_lambda_regular_examples():

@@ -12,7 +12,6 @@ from g2cubics.cubics import (
     DualCubic,
     GroupElement,
     Line,
-    MultiplicityStructure,
     OrbitClass,
     REPRESENTATIVES,
     SingularGroupElement,
@@ -25,11 +24,12 @@ from g2cubics.cubics import (
     divides,
     evaluate,
     hessian_quadratic,
-    multiplicity_structure,
     rational_lines,
     to_plain,
 )
 from g2cubics.linalg import Matrix, common_denominator
+
+from fraction_reference import divide_by_form
 
 
 def rng_cubic(rng, span=4):
@@ -216,9 +216,11 @@ def test_divides_matches_root_evaluation():
 
 
 def test_multiplicity_structure_examples():
-    assert multiplicity_structure(BinaryCubic(0, 0, 0, 0)) is MultiplicityStructure.ZERO
-    assert multiplicity_structure(BinaryCubic(1, 0, 0, 0)) is MultiplicityStructure.TRIPLE_LINE
-    assert multiplicity_structure(XY_X_PLUS_Y) is MultiplicityStructure.THREE_DISTINCT
+    assert classify(BinaryCubic(0, 0, 0, 0)).structure == "zero"
+    assert classify(BinaryCubic(1, 0, 0, 0)).structure == "triple_line"
+    assert classify(BinaryCubic(0, 1, 0, 0)).structure == "double_plus_simple"
+    assert classify(XY_X_PLUS_Y).structure == "three_distinct"
+    assert classify(DualCubic(0, 0, 0, 1)).structure == "triple_line"
 
 
 def test_rational_lines_of_triple_line():
@@ -255,8 +257,6 @@ def test_rational_lines_reconstruct_the_cubic():
         assert sum(m for _, m in lines) + residual == 3
         # multiply the found factors back and divide out
         plain = to_plain(r.coeffs)
-        from g2cubics.cubics import divide_by_form
-
         for u, m in lines:
             for _ in range(m):
                 plain, exact = divide_by_form(plain, u.u1, u.u2)

@@ -31,7 +31,6 @@ from g2cubics.cubics import (
     act_matrix,
     classify,
     discriminant,
-    divide_by_form,
     divides,
     evaluate,
     hessian_quadratic,
@@ -44,6 +43,8 @@ from g2cubics.linalg import (
     int_poly_gcd,
     poly_mul,
 )
+
+from fraction_reference import divide_by_form
 
 DIGITS = (1, 2, 20, 100, 1000)
 

@@ -22,12 +22,13 @@ from g2cubics.cubics import (
     Line,
     OrbitClass,
     classify,
-    divide_by_form,
     from_plain,
     rational_lines,
     to_plain,
 )
 from g2cubics.linalg import poly_mul
+
+from fraction_reference import divide_by_form
 
 # -- the divisor-enumeration reference ----------------------------------------
 
@@ -215,3 +216,14 @@ def test_thousand_digit_split_cubic():
     found, residual = rational_lines(r)
     assert residual == 0
     assert {u for u, _ in found} == {Line(*u) for u in lines}
+    # repeated lines, scaled by a 1000-digit fraction
+    u, v = lines[:2]
+    c = Fraction(rng.randrange(10**999, 10**1000), rng.randrange(10**999, 10**1000))
+    found, residual = rational_lines(line_product(_form(*u), _form(*u), _form(*v), scale=c))
+    assert residual == 0
+    assert set(found) == {(Line(*u), 2), (Line(*v), 1)}
+    assert rational_lines(line_product(_form(*u), _form(*u), _form(*u), scale=c)) == ([(Line(*u), 3)], 0)
+    # double lines on the axes: [0:1] has a zero Hessian coefficient d0
+    for axis in ((0, 1), (1, 0)):
+        r = line_product(_form(*axis), _form(*axis), _form(*v), scale=c)
+        assert rational_lines(r) == ([(Line(*axis), 2), (Line(*v), 1)], 0)
