@@ -1,5 +1,7 @@
 """Command-line surface for classification, conormal, packet and table queries.
 
+Each subcommand is declared once, in `COMMANDS`: its handler, its help text
+and its own arguments; `build_parser` adds the global flags to every entry.
 Exit codes: 0 success, 1 a verification check failed, 2 bad input.
 All output is deterministic: JSON payloads are emitted with sorted keys and
 tables have a fixed row/column order.
@@ -288,6 +290,41 @@ def _add_global_flags(p: argparse.ArgumentParser, root: bool = False) -> None:
     )
 
 
+def _arg(*names, **kwargs) -> tuple:
+    """One `add_argument` call of a subcommand, as (names, keyword arguments)."""
+    return names, kwargs
+
+
+_CUBIC = _arg("coeffs", nargs=4, metavar="R")
+_PAIR = _arg("coeffs", nargs=8, metavar="C")
+_PSI = _arg("--psi", type=int, required=True)
+
+# every subcommand, in help order: name -> (handler, help, its own arguments)
+COMMANDS = {
+    "classify": (cmd_classify, "orbit class and invariants of a cubic", [_CUBIC]),
+    "pair": (cmd_pair, "Killing pairing of a cubic with a dual cubic", [_PAIR]),
+    "moment": (cmd_moment, "moment-map matrix of a conormal pair", [_PAIR]),
+    "kernel": (cmd_kernel, "basis of the conormal kernel of a cubic", [_CUBIC]),
+    "stabilizer": (cmd_stabilizer, "stabilizer of a rational-split cubic", [_CUBIC]),
+    "lambda-regular": (cmd_lambda_regular, "regular conormal stratum membership", [_PAIR]),
+    "tables": (cmd_tables, "emit one of the shipped tables", [
+        _arg("--which", required=True,
+             choices=["stalks", "geomult", "repmult", "evs", "nevs", "fourier"])]),
+    "packets": (cmd_packets, "packet membership and pairing characters", [
+        _arg("action", nargs="?", default="show", choices=["show"]), _PSI]),
+    "aubert": (cmd_aubert, "the involution on the six irreducibles", []),
+    "stable": (cmd_stable, "stable virtual character of a parameter", [
+        _PSI, _arg("--basis", choices=["irred", "standard"], default="irred")]),
+    "formal-degree": (cmd_formal_degree, "formal-degree data at a given q", [
+        _arg("--q", required=True)]),
+    "roots": (cmd_roots, "root system and coroot data", []),
+    "verify": (cmd_verify, "run the consistency-check suite", [
+        _arg("--scope", choices=["all", "geometry", "sheaves", "packets", "g2"], default="all"),
+        _arg("--tamper-evs", action="store_true",
+             help="flip one raw-table entry first (sensitivity harness)")]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="g2cubics",
@@ -296,89 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_global_flags(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="orbit class and invariants of a cubic")
-    p.add_argument("coeffs", nargs=4, metavar="R")
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("pair", help="Killing pairing of a cubic with a dual cubic")
-    p.add_argument("coeffs", nargs=8, metavar="C")
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_pair)
-
-    p = sub.add_parser("moment", help="moment-map matrix of a conormal pair")
-    p.add_argument("coeffs", nargs=8, metavar="C")
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_moment)
-
-    p = sub.add_parser("kernel", help="basis of the conormal kernel of a cubic")
-    p.add_argument("coeffs", nargs=4, metavar="R")
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_kernel)
-
-    p = sub.add_parser("stabilizer", help="stabilizer of a rational-split cubic")
-    p.add_argument("coeffs", nargs=4, metavar="R")
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_stabilizer)
-
-    p = sub.add_parser("lambda-regular", help="regular conormal stratum membership")
-    p.add_argument("coeffs", nargs=8, metavar="C")
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_lambda_regular)
-
-    p = sub.add_parser("tables", help="emit one of the shipped tables")
-    p.add_argument(
-        "--which",
-        required=True,
-        choices=["stalks", "geomult", "repmult", "evs", "nevs", "fourier"],
-    )
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_tables)
-
-    p = sub.add_parser("packets", help="packet membership and pairing characters")
-    p.add_argument("action", nargs="?", default="show", choices=["show"])
-    p.add_argument("--psi", type=int, required=True)
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_packets)
-
-    p = sub.add_parser("aubert", help="the involution on the six irreducibles")
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_aubert)
-
-    p = sub.add_parser("stable", help="stable virtual character of a parameter")
-    p.add_argument("--psi", type=int, required=True)
-    p.add_argument("--basis", choices=["irred", "standard"], default="irred")
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_stable)
-
-    p = sub.add_parser("formal-degree", help="formal-degree data at a given q")
-    p.add_argument("--q", required=True)
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_formal_degree)
-
-    p = sub.add_parser("roots", help="root system and coroot data")
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_roots)
-
-    p = sub.add_parser("verify", help="run the consistency-check suite")
-    p.add_argument(
-        "--scope", choices=["all", "geometry", "sheaves", "packets", "g2"], default="all"
-    )
-    p.add_argument(
-        "--tamper-evs",
-        action="store_true",
-        help="flip one raw-table entry first (sensitivity harness)",
-    )
-    _add_global_flags(p)
-    p.set_defaults(fn=cmd_verify)
-
     # let negative rationals such as -1/3 pass as positional coefficients
     matcher = re.compile(r"^-\d+(/\d+)?$")
     parser._negative_number_matcher = matcher
-    for child in sub.choices.values():
-        child._negative_number_matcher = matcher
-
+    for name, (fn, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
+        _add_global_flags(p)
+        p.set_defaults(fn=fn)
+        p._negative_number_matcher = matcher
     return parser
 
 

@@ -24,12 +24,12 @@ from .cubics import (
     DualCubic,
     GroupElement,
     OrbitClass,
+    _twisted,
     act,
     act_dual,
     classify,
     poly_dx,
     poly_dy,
-    from_plain,
     rational_lines,
     to_plain,
 )
@@ -98,7 +98,7 @@ def dual_from_factors(v1, v2, v3, v4, v5, v6) -> DualCubic:
     """Expand (v1 y + v2 x)(v3 y + v4 x)(v5 y + v6 x) into dual coordinates."""
     p = poly_mul(poly_mul([rational(v1), rational(v2)], [rational(v3), rational(v4)]),
                  [rational(v5), rational(v6)])
-    return DualCubic(*from_plain(p))
+    return DualCubic._from_integers(*_twisted(*common_denominator(p)))
 
 
 def pairing_factored(r: BinaryCubic, v1, v2, v3, v4, v5, v6) -> Fraction:
@@ -241,8 +241,9 @@ _S3_BASE = (
 
 # base stabilizers on strata 2 and 3: of the canonical pair (-3 x y^2, -x^3),
 # whose double line is [1:0] and simple line [0:1], and of y x (x - y);
-# strata 0 and 1 reach them through the mirror
+# strata 0 and 1 take the mirrors t(b^{-1}) of those on strata 3 and 2
 _BASES = {2: (GroupElement.diagonal(-1, 1),), 3: _S3_BASE}
+_BASES.update({i: tuple(b.inverse().transpose() for b in _BASES[3 - i]) for i in (0, 1)})
 
 
 def _conjugates(
@@ -310,11 +311,10 @@ def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
     if stratum is None:
         raise NotRegularConormal(f"{p!r} is not on a regular conormal stratum")
     if stratum >= 2:
-        g, base = _line_frame(p.r), _BASES[stratum]
+        g = _line_frame(p.r)
     else:
         # the mirror (s, r) lies on stratum 3 - i, and h |-> t(h^{-1}) carries
         # its stabilizer g b g^{-1} to the conjugate of t(b^{-1}) by t(g^{-1})
         g = _line_frame(BinaryCubic(*p.s.coeffs)).inverse().transpose()
-        base = [b.inverse().transpose() for b in _BASES[3 - stratum]]
     group = ComponentGroup.S3 if stratum in (0, 3) else ComponentGroup.S2
-    return StabilizerDescription(0, group, _conjugates(g, base, p.r, p.s))
+    return StabilizerDescription(0, group, _conjugates(g, _BASES[stratum], p.r, p.s))

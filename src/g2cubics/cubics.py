@@ -12,9 +12,7 @@ through the origin is the point (x, y) = (u1, u2).  All arithmetic is exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt
 
 from .linalg import Matrix, common_denominator, format_rational, rational
@@ -41,13 +39,6 @@ def to_plain(coeffs) -> list:
     """Plain-basis coefficients of a twisted 4-vector; ints stay ints."""
     r0, r1, r2, r3 = coeffs
     return [r0, -3 * r1, -3 * r2, -r3]
-
-
-def from_plain(plain, den: int = 1) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Twisted coefficients of the plain-basis cubic plain / den, one Fraction
-    per coefficient; plain holds ints or Fractions."""
-    a0, a1, a2, a3 = plain
-    return Fraction(a0, den), Fraction(a1, -3 * den), Fraction(a2, -3 * den), Fraction(a3, -den)
 
 
 def poly_dx(p: list) -> list:
@@ -87,13 +78,14 @@ class OrbitClass(enum.Enum):
 
 
 class _CoeffVector:
-    """Shared behaviour of the primal and dual coefficient 4-vectors.
+    """Shared behaviour of the coefficient 4-vectors: cubics, dual cubics, group elements.
 
     A vector has two exact forms, each built on first use and kept: the
     Fraction `coeffs`, and the integer form `integers()`, the numerators over
     the least common denominator.  A vector built from coefficients clears
     them only when a reader asks for integers; one built by `_from_integers`
-    (the group actions) builds its Fractions only when `coeffs` is read.
+    (the group actions and group arithmetic) builds its Fractions only when
+    `coeffs` is read.
     """
 
     __slots__ = ("_coeffs", "_integers")
@@ -164,20 +156,26 @@ class DualCubic(_CoeffVector):
     """A cubic viewed in the dual space V*; same coefficient convention."""
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An invertible 2x2 rational matrix [[a, b], [c, d]]."""
+class GroupElement(_CoeffVector):
+    """An invertible 2x2 rational matrix [[a, b], [c, d]], kept as the 4-vector (a, b, c, d)."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ()
 
-    def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", rational(a))
-        object.__setattr__(self, "b", rational(b))
-        object.__setattr__(self, "c", rational(c))
-        object.__setattr__(self, "d", rational(d))
+    @property
+    def a(self) -> Fraction:
+        return self.coeffs[0]
+
+    @property
+    def b(self) -> Fraction:
+        return self.coeffs[1]
+
+    @property
+    def c(self) -> Fraction:
+        return self.coeffs[2]
+
+    @property
+    def d(self) -> Fraction:
+        return self.coeffs[3]
 
     @classmethod
     def identity(cls) -> "GroupElement":
@@ -190,11 +188,7 @@ class GroupElement:
     def integer_entries(self) -> tuple[int, int, int, int, int, int]:
         """(a, b, c, d, den, det) over Python ints: self = [[a, b], [c, d]] / den
         and det = ad - bc, so that det(self) = det / den^2."""
-        return self._integer_entries
-
-    @cached_property
-    def _integer_entries(self) -> tuple[int, int, int, int, int, int]:
-        (a, b, c, d), den = common_denominator((self.a, self.b, self.c, self.d))
+        (a, b, c, d), den = self.integers()
         return a, b, c, d, den, a * d - b * c
 
     def det(self) -> Fraction:
@@ -210,17 +204,17 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         a, b, c, d, den, det = self.require_invertible()
-        return GroupElement(*(Fraction(e * den, det) for e in (d, -b, -c, a)))
+        return GroupElement._from_integers((d * den, -b * den, -c * den, a * den), det)
 
     def transpose(self) -> "GroupElement":
-        return GroupElement(self.a, self.c, self.b, self.d)
+        (a, b, c, d), den = self.integers()
+        return GroupElement._from_integers((a, c, b, d), den)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+        (a, b, c, d), den = self.integers()
+        (e, f, g, h), oden = other.integers()
+        return GroupElement._from_integers(
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), den * oden
         )
 
     def to_json(self) -> list[list[str]]:

@@ -1,6 +1,6 @@
-"""Fraction division by a linear form: the test-side reference that the
-integer division in `g2cubics.cubics` (`divides`, `rational_lines`) is
-compared with.
+"""Fraction references that the integer kernels of `g2cubics.cubics` are
+compared with: division by a linear form (`divides`, `rational_lines`) and
+the twisted coefficients of a plain-basis cubic (`_twisted`).
 """
 
 from fractions import Fraction
@@ -26,3 +26,10 @@ def divide_by_form(p, u1, u2):
         carry = (c + u2 * carry) / u1
         q.append(carry)
     return q, p[d] + u2 * carry == 0
+
+
+def from_plain(plain, den=1):
+    """Twisted coefficients of the plain-basis cubic plain / den, one Fraction
+    per coefficient; plain holds ints or Fractions."""
+    a0, a1, a2, a3 = plain
+    return Fraction(a0, den), Fraction(a1, -3 * den), Fraction(a2, -3 * den), Fraction(a3, -den)

@@ -37,10 +37,11 @@ from g2cubics.cubics import (
     act_dual,
     classify,
     divides,
-    from_plain,
     rational_lines,
 )
 from g2cubics.linalg import Matrix, kernel_basis, poly_mul
+
+from fraction_reference import from_plain
 
 XY_X_PLUS_Y = (0, Fraction(-1, 3), Fraction(-1, 3), 0)
 

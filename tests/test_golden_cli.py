@@ -1,6 +1,7 @@
 """Golden snapshot of the command line: (exit code, stdout, stderr) per case.
 
-Every subcommand runs in every `--format`, together with inputs that exit 2
+Every subcommand of `cli.COMMANDS` runs in every `--format` (a test holds
+the case list to the registry), together with inputs that exit 2
 (bad rationals, a pole of the formal degree, an out-of-range psi, a cubic
 without three rational lines) and 1 (`verify --tamper-evs`). The full
 `verify` runs once, in json, to keep the suite fast.
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from g2cubics.cli import main
+from g2cubics.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FORMATS = ("json", "md", "csv", "text")
@@ -109,6 +110,11 @@ def _load() -> dict:
 
 def test_snapshot_covers_exactly_the_cases():
     assert sorted(_load()) == sorted(_key(argv) for argv in CASES)
+
+
+def test_every_registered_command_runs_in_every_format():
+    covered = {(argv[0], argv[-1]) for argv in CASES if argv[-2] == "--format"}
+    assert {(name, fmt) for name in COMMANDS for fmt in FORMATS} <= covered
 
 
 @pytest.mark.parametrize("argv", CASES, ids=_key)

@@ -44,7 +44,7 @@ from g2cubics.linalg import (
     poly_mul,
 )
 
-from fraction_reference import divide_by_form
+from fraction_reference import divide_by_form, from_plain
 
 DIGITS = (1, 2, 20, 100, 1000)
 
@@ -127,22 +127,18 @@ def fraction_to_plain(coeffs):
     return [r0, -3 * r1, -3 * r2, -r3]
 
 
-def fraction_from_plain(p):
-    return (p[0], -p[1] / 3, -p[2] / 3, -p[3])
-
-
 def fraction_act(h, r):
     fraction_require_invertible(h)
     dt = fraction_det(h)
     plain = fraction_substitute(fraction_to_plain(r.coeffs), h.a, h.b, h.c, h.d)
-    return BinaryCubic(*fraction_from_plain([c / dt for c in plain]))
+    return BinaryCubic(*from_plain(plain, dt))
 
 
 def fraction_act_dual(h, s):
     fraction_require_invertible(h)
     dt = fraction_det(h)
     plain = fraction_substitute(fraction_to_plain(s.coeffs), h.d, -h.c, -h.b, h.a)
-    return DualCubic(*fraction_from_plain([c / dt**2 for c in plain]))
+    return DualCubic(*from_plain(plain, dt**2))
 
 
 def fraction_act_matrix(h):
@@ -339,7 +335,7 @@ def divided_cubics(draw):
     plain = [draw(fractions()) for _ in range(4 - k)]
     for _ in range(k):
         plain = fraction_poly_mul(plain, [u.u1, -u.u2])
-    return u, BinaryCubic(*fraction_from_plain(plain))
+    return u, BinaryCubic(*from_plain(plain))
 
 
 @settings(max_examples=150, deadline=None)

@@ -22,13 +22,12 @@ from g2cubics.cubics import (
     Line,
     OrbitClass,
     classify,
-    from_plain,
     rational_lines,
     to_plain,
 )
 from g2cubics.linalg import poly_mul
 
-from fraction_reference import divide_by_form
+from fraction_reference import divide_by_form, from_plain
 
 # -- the divisor-enumeration reference ----------------------------------------
 
