@@ -9,7 +9,9 @@ generator is verified to fix its input.  Strata 0 and 1 are mirrors of
 strata 3 and 2: the moment map of the swapped pair (s, r) is the transpose
 of that of (r, s), and h |-> t(h^{-1}) carries the mirror's stabilizer onto
 the point's.  Dimensions are the strata's constants; `verify` checks them
-against the kernel of the infinitesimal action.
+against the kernel of the infinitesimal action.  The conormal fibre over a
+cubic is likewise stated, not solved: a closed form in its repeated line,
+which `verify` checks against the exact elimination of the moment matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .cubics import (
     DualCubic,
     GroupElement,
     OrbitClass,
+    _repeated_line,
     _twisted,
     act,
     act_dual,
@@ -148,11 +151,28 @@ def moment_matrix_of(r: BinaryCubic) -> Matrix:
 
 
 def conormal_kernel(r: BinaryCubic) -> list[DualCubic]:
-    """Exact basis of {s : [r, s] = 0}; dimension 4 - dim(orbit of r), so
-    4, 2, 1 on C0..C2 (solved exactly) and none on the open orbit C3."""
-    if classify(r) is OrbitClass.C3:
+    """Exact basis of {s : [r, s] = 0}, in the RREF form of `kernel_basis`;
+    dimension 4 - dim(orbit of r), so 4, 2, 1, 0 on C0..C3.
+
+    With u = [u1:u2] the repeated line of a C1 or C2 cubic and f the form of
+    the perpendicular line, the kernel is spanned by f^3 on C2 and by f^2 y,
+    f^2 x on C1.  For u1 != 0 and t = u2/u1 that gives (-t^3, t^2, t, 1) on
+    C2 and (-3t^2, 2t, 1, 0), (2t^3, -t^2, 0, 1) on C1; no linear system is
+    solved.  `verify` compares the result with the elimination.
+    """
+    orbit = classify(r)
+    if orbit is OrbitClass.C3:
         return []
-    return [DualCubic(*v) for v in kernel_basis(moment_matrix_of(r))]
+    if orbit is not OrbitClass.C0:
+        u1, u2 = _repeated_line(r.integers()[0], orbit)
+        if u1:
+            t = Fraction(u2, u1)
+            if orbit is OrbitClass.C2:
+                return [DualCubic(-t**3, t**2, t, 1)]
+            return [DualCubic(-3 * t**2, 2 * t, 1, 0), DualCubic(2 * t**3, -t**2, 0, 1)]
+    # on C0 every dual cubic; on the line [0:1], f = y and the kernel is
+    # spanned by y^3 (and y^2 x on C1): the first 4 - dim unit dual cubics
+    return [DualCubic(*(int(i == j) for i in range(4))) for j in range(4 - orbit.dim)]
 
 
 def dual_orbit_class(i: int) -> OrbitClass:

@@ -461,21 +461,36 @@ def rational_lines(r: BinaryCubic | DualCubic):
     p = to_plain(nums)
     orbit = classify(r)
     if orbit is OrbitClass.C1:
-        # p = k u^3 with u = u1*y - u2*x: (3 p[0], -p[1]) = 3 k u1^2 (u1, u2)
-        line = Line(0, 1) if p[0] == 0 else Line(3 * p[0], -p[1])
-        return [(line, 3)], 0
+        return [(Line(*_repeated_line(nums, orbit)), 3)], 0
     if orbit is OrbitClass.C2:
-        # the Hessian quadratic d0 y^2 + d1 xy + d2 x^2 is a multiple of u^2,
-        # so (2 d0, -d1) is a multiple of (u1, u2); by Gauss's lemma the
-        # primitive u divides p exactly over the integers
-        d0, d1, _ = _hessian_integers(nums)
-        g = gcd(2 * d0, d1)
-        u1, u2 = (0, 1) if d0 == 0 else (2 * d0 // g, -d1 // g)
+        # by Gauss's lemma the primitive u divides p exactly over the integers
+        u1, u2 = _repeated_line(nums, orbit)
         p = _divide_by_integer_form(_divide_by_integer_form(p, u1, u2), u1, u2)
         double, simple = Line(u1, u2), Line(p[0], -p[1])
         return sorted([(double, 2), (simple, 1)], key=lambda lm: _line_order(lm[0])), 0
     lines = _simple_rational_lines(p)
     return [(u, 1) for u in lines], 3 - len(lines)
+
+
+def _repeated_line(nums: tuple[int, int, int, int], orbit: OrbitClass) -> tuple[int, int]:
+    """The primitive integer (u1, u2) of the repeated line of a C1 or C2
+    cubic with integer numerators nums, up to sign.
+
+    On C1 the plain form is p = k u^3 with u = u1*y - u2*x, so
+    (3 p[0], -p[1]) = 3 k u1^2 (u1, u2), and that pair is 3 (r0, r1).  On C2
+    the Hessian quadratic d0 y^2 + d1 xy + d2 x^2 is a multiple of u^2, so
+    (2 d0, -d1) is a multiple of (u1, u2).  Either pair is zero exactly when
+    u1 = 0, and then the line is [0:1].
+    """
+    if orbit is OrbitClass.C1:
+        a, b = nums[0], nums[1]
+    else:
+        d0, d1, _ = _hessian_integers(nums)
+        a, b = 2 * d0, -d1
+    if a == 0:
+        return 0, 1
+    g = gcd(a, b)
+    return a // g, b // g
 
 
 def _line_order(u: Line):

@@ -301,39 +301,52 @@ def check_dual_action_matrix(trials: int = 50, seed: int = 112) -> str | None:
     return None
 
 
+# frames moving the representatives: the identity keeps the repeated line of
+# C1 and C2 at [1:0], two frames move it to [1:t] with t = 5/2 and t = -9/2,
+# and the swap moves it to [0:1]
+_KERNEL_FRAMES = (
+    GroupElement(1, 0, 0, 1),
+    GroupElement(2, -5, 1, 2),
+    GroupElement(Fraction(1, 2), 3, -1, Fraction(2, 3)),
+    GroupElement(0, 1, 1, 0),
+)
+
+
 def check_conormal_kernel_dims() -> str | None:
-    """The exact kernel of each representative's moment matrix has the
+    """The exact kernel of each moved representative's moment matrix has the
     expected dimension, and `conormal_kernel` returns that basis."""
     expected = {OrbitClass.C0: 4, OrbitClass.C1: 2, OrbitClass.C2: 1, OrbitClass.C3: 0}
-    for orbit, rep in REPRESENTATIVES.items():
-        solved = [DualCubic(*v) for v in kernel_basis(conormal.moment_matrix_of(rep))]
-        got = len(solved)
-        if got != expected[orbit]:
-            return f"{orbit}: kernel dim {got} != {expected[orbit]}"
-        if got + orbit.dim != 4:
-            return f"{orbit}: kernel dim + orbit dim != 4"
-        if conormal.conormal_kernel(rep) != solved:
-            return f"{orbit}: conormal_kernel differs from the solved kernel"
+    for g in _KERNEL_FRAMES:
+        for orbit, rep in REPRESENTATIVES.items():
+            r = act(g, rep)
+            solved = [DualCubic(*v) for v in kernel_basis(conormal.moment_matrix_of(r))]
+            got = len(solved)
+            if got != expected[orbit]:
+                return f"{orbit} moved by {g!r}: kernel dim {got} != {expected[orbit]}"
+            if got + orbit.dim != 4:
+                return f"{orbit} moved by {g!r}: kernel dim + orbit dim != 4"
+            if conormal.conormal_kernel(r) != solved:
+                return f"{orbit} moved by {g!r}: conormal_kernel differs from the solved kernel"
     return None
 
 
 def check_conormal_kernel_typing() -> str | None:
     """Kernel typing via division: C2 kernels are perp triple lines, C1
-    kernels are divisible twice by the perp line."""
-    r2 = REPRESENTATIVES[OrbitClass.C2]
-    (lines2, _) = cubics.rational_lines(r2)
-    u2 = {m: u for u, m in lines2}[2]
-    v2 = u2.perp()
-    for s in conormal.conormal_kernel(r2):
-        if divides(v2, s) != 3:
-            return f"C2 kernel element {s!r} is not the cube of the perp line"
-    r1 = REPRESENTATIVES[OrbitClass.C1]
-    (lines1, _) = cubics.rational_lines(r1)
-    u1 = lines1[0][0]
-    v1 = u1.perp()
-    for s in conormal.conormal_kernel(r1):
-        if divides(v1, s) < 2:
-            return f"C1 kernel element {s!r} lacks a square perp factor"
+    kernels are divisible twice by the perp line, on every moved
+    representative."""
+    for g in _KERNEL_FRAMES:
+        r2 = act(g, REPRESENTATIVES[OrbitClass.C2])
+        (lines2, _) = cubics.rational_lines(r2)
+        v2 = {m: u for u, m in lines2}[2].perp()
+        for s in conormal.conormal_kernel(r2):
+            if divides(v2, s) != 3:
+                return f"C2 kernel element {s!r} is not the cube of the perp line"
+        r1 = act(g, REPRESENTATIVES[OrbitClass.C1])
+        (lines1, _) = cubics.rational_lines(r1)
+        v1 = lines1[0][0].perp()
+        for s in conormal.conormal_kernel(r1):
+            if divides(v1, s) < 2:
+                return f"C1 kernel element {s!r} lacks a square perp factor"
     return None
 
 

@@ -441,6 +441,7 @@ def test_microlocal_dimension_is_the_solved_one_on_moved_pairs(g):
 @settings(max_examples=30, deadline=None)
 @given(group_elements())
 @example(GroupElement(1, 0, 0, 1))
+@example(GroupElement(0, 1, 1, 0))
 @example(GroupElement(Fraction(10**999 + 7, 3**2000), 1 - 10**1000, 1, 10**1000))
 def test_conormal_kernel_is_the_solved_one_on_moved_representatives(g):
     for rep in REPRESENTATIVES.values():
@@ -462,6 +463,28 @@ def test_split_c3_stabilizer_solves_no_linear_system(capsys):
             assert microlocal_stabilizer(point).dimension == 0
     assert counting.call_count == 0
     assert "kernel dimension 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "coeffs, dimension",
+    [
+        (("1", "0", "0", "0"), 2),
+        (("27", "-18", "-12", "-8"), 2),
+        (("0", "0", "0", "1"), 2),
+        (("0", "1", "0", "0"), 1),
+        (("4", "-8/3", "115/3", "-175"), 1),
+        (("0", "0", "1", "0"), 1),
+    ],
+    ids=["C1", "C1-moved", "C1-line-0-1", "C2", "C2-moved", "C2-line-0-1"],
+)
+def test_c1_and_c2_kernels_solve_no_linear_system(capsys, coeffs, dimension):
+    counting = mock.Mock(wraps=linalg.kernel_basis)
+    with mock.patch.object(linalg, "kernel_basis", counting), mock.patch.object(
+        conormal, "kernel_basis", counting
+    ):
+        assert cli.main(["kernel", *coeffs]) == 0
+    assert counting.call_count == 0
+    assert f"kernel dimension {dimension}" in capsys.readouterr().out
 
 
 def test_conjugates_reject_an_element_that_moves_the_point():

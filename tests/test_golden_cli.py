@@ -35,6 +35,10 @@ _CUBICS = (
     ("1", "0", "1", "0"),  # C3, irreducible quadratic factor
     ("0", "-1/3", "-1/3", "0"),  # C3, three rational lines
     ("0", "1", "0", "99999999999999999999"),  # C3, one line, 20 digits
+    ("27", "-18", "-12", "-8"),  # C1, (3 y + 2 x)^3: line [1:-2/3]
+    ("4", "-8/3", "115/3", "-175"),  # C2, double line [1:5/2]
+    ("0", "0", "0", "1"),  # C1, line [0:1]
+    ("0", "0", "1", "0"),  # C2, double line [0:1]
 )
 _PAIRS = (
     ("1", "0", "0", "0", "5", "7", "0", "0"),

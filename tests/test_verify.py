@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 from g2cubics import conormal, linalg, verify
-from g2cubics.cubics import GroupElement, OrbitClass, classify
+from g2cubics.cubics import DualCubic, GroupElement, OrbitClass, classify
 from g2cubics.linalg import format_rational
 from g2cubics.packets import DERIVED, Derived
 from g2cubics.sheaves import TABLES, SimpleObject
@@ -47,11 +47,15 @@ def test_tampered_evs_reach_wrapped_checks():
         verify.CHECKS[:] = plain
 
 
-def _kernel_on_c2(fn, basis):
+def _kernel_on(orbits, fn, basis):
     def kernel(r):
-        return basis(fn(r)) if classify(r) is OrbitClass.C2 else fn(r)
+        return basis(fn(r)) if classify(r) in orbits else fn(r)
 
     return kernel
+
+
+def _negated_coordinate_0(basis):
+    return [DualCubic(-s.coeffs[0], *s.coeffs[1:]) for s in basis]
 
 
 # the checks compare the dimensions the strata fix, and the kernel
@@ -62,15 +66,26 @@ def _kernel_on_c2(fn, basis):
     [
         ("microlocal_stabilizer", lambda fn: lambda p: dataclasses.replace(fn(p), dimension=1),
          {"microlocal-stabilizer-orders"}),
-        ("conormal_kernel", lambda fn: _kernel_on_c2(fn, lambda basis: []),
+        ("conormal_kernel", lambda fn: _kernel_on({OrbitClass.C2}, fn, lambda basis: []),
          {"conormal-kernel-dimensions"}),
         ("conormal_kernel",
-         lambda fn: _kernel_on_c2(fn, lambda basis: [s.scale(2) for s in basis]),
+         lambda fn: _kernel_on({OrbitClass.C2}, fn, lambda basis: [s.scale(2) for s in basis]),
          {"conormal-kernel-dimensions"}),
+        # coordinate 0 is zero at the canonical points, where the repeated
+        # line is [1:0], so only the moved representatives see this one
+        ("conormal_kernel",
+         lambda fn: _kernel_on({OrbitClass.C1, OrbitClass.C2}, fn, _negated_coordinate_0),
+         {"conormal-kernel-dimensions", "conormal-kernel-typing"}),
         ("stabilizer_dimension", lambda fn: lambda *args: fn(*args) + 1,
          {"stabilizer-orders", "microlocal-stabilizer-orders"}),
     ],
-    ids=["microlocal-dimension", "empty-c2-kernel", "scaled-c2-kernel", "solved-dimension"],
+    ids=[
+        "microlocal-dimension",
+        "empty-c2-kernel",
+        "scaled-c2-kernel",
+        "negated-c1-c2-kernel",
+        "solved-dimension",
+    ],
 )
 def test_geometry_checks_catch_a_tampered_dimension(name, tamper, failing):
     with mock.patch.object(conormal, name, tamper(getattr(conormal, name))):
