@@ -85,12 +85,11 @@ def _render_table(payload: dict, fmt: str) -> str:
 def cmd_classify(args) -> int:
     r = BinaryCubic(*_parse_coeffs(args.coeffs))
     orbit = classify(r)
-    d0, d1, d2 = hessian_quadratic(r)
     payload = {
         "r": r.to_json(),
         "orbit": orbit.name,
         "orbit_dimension": orbit.dim,
-        "hessian_quadratic": [format_rational(x) for x in (d0, d1, d2)],
+        "hessian_quadratic": [format_rational(x) for x in hessian_quadratic(r)],
         "discriminant": format_rational(discriminant(r)),
         "multiplicity_structure": orbit.structure,
     }

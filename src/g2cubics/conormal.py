@@ -164,7 +164,7 @@ def conormal_kernel(r: BinaryCubic) -> list[DualCubic]:
     if orbit is OrbitClass.C3:
         return []
     if orbit is not OrbitClass.C0:
-        u1, u2 = _repeated_line(r.integers()[0], orbit)
+        u1, u2 = _repeated_line(r)
         if u1:
             t = Fraction(u2, u1)
             if orbit is OrbitClass.C2:
@@ -188,9 +188,7 @@ def in_lambda_regular(p: ConormalPoint) -> int | None:
     if not moment(p.r, p.s).is_zero():
         return None
     i = classify(p.r).value
-    if classify(p.s) is not dual_orbit_class(i):
-        return None
-    return i
+    return i if classify(p.s) is dual_orbit_class(i) else None
 
 
 # canonical regular base points, one per stratum, all rational-split
@@ -284,10 +282,10 @@ def _conjugates(
     return out
 
 
-def _line_frame(r: BinaryCubic) -> GroupElement:
+def _line_frame(r: BinaryCubic | DualCubic) -> GroupElement:
     """An element sending the base lines [1:0], [0:1] (and [1:1]) to the
-    rational lines of a C2 or C3 cubic r: the double line first on C2, the
-    three lines in the listing order of `rational_lines` on C3.
+    rational lines of a C2 or C3 cubic (or dual cubic) r: the double line
+    first on C2, the three lines in the listing order of `rational_lines` on C3.
 
     h sends a line u to u adj(h), so adj(g) has rows alpha L0 and beta L1.
     On C2 alpha = beta = 1; on C3 alpha L0 + beta L1 is parallel to L2, and
@@ -335,6 +333,6 @@ def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
     else:
         # the mirror (s, r) lies on stratum 3 - i, and h |-> t(h^{-1}) carries
         # its stabilizer g b g^{-1} to the conjugate of t(b^{-1}) by t(g^{-1})
-        g = _line_frame(BinaryCubic(*p.s.coeffs)).inverse().transpose()
+        g = _line_frame(p.s).inverse().transpose()
     group = ComponentGroup.S3 if stratum in (0, 3) else ComponentGroup.S2
     return StabilizerDescription(0, group, _conjugates(g, _BASES[stratum], p.r, p.s))

@@ -12,6 +12,7 @@ through the origin is the point (x, y) = (u1, u2).  All arithmetic is exact.
 from __future__ import annotations
 
 import enum
+import functools
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -85,7 +86,8 @@ class _CoeffVector:
     the least common denominator.  A vector built from coefficients clears
     them only when a reader asks for integers; one built by `_from_integers`
     (the group actions and group arithmetic) builds its Fractions only when
-    `coeffs` is read.
+    `coeffs` is read.  Cubics and dual cubics keep their integer Hessian,
+    orbit and rational split in the same way (`_kept`).
     """
 
     __slots__ = ("_coeffs", "_integers")
@@ -362,42 +364,55 @@ def act_dual(h: GroupElement, s: DualCubic) -> DualCubic:
     return DualCubic._from_integers(*_twisted(plain, det * det * sden))
 
 
+def _kept(derive):
+    """Keep derive(r), never None, as an attribute of the cubic r: derived on
+    the first call, read after (`act` and arithmetic make new cubics)."""
+    name = derive.__name__
+
+    def read(r):
+        fact = getattr(r, name, None)
+        if fact is None:
+            fact = derive(r)
+            setattr(r, name, fact)
+        return fact
+
+    return functools.update_wrapper(read, derive)
+
+
 def hessian_quadratic(r: BinaryCubic | DualCubic):
     """Coefficients (d0, d1, d2) of the Hessian quadratic d0 y^2 + d1 xy + d2 x^2.
 
     This equals one quarter of det Hess(r); the factor is pinned by an
     expansion oracle in the test-suite.
     """
-    nums, den = r.integers()
-    den *= den
-    d0, d1, d2 = _hessian_integers(nums)
-    return Fraction(d0, den), Fraction(d1, den), Fraction(d2, den)
+    den = r.integers()[1] ** 2
+    return tuple(Fraction(d, den) for d in _hessian_integers(r))
 
 
-def _hessian_integers(nums: tuple[int, int, int, int]) -> tuple[int, int, int]:
-    """The Hessian quadratic of R = (r0, r1, r2, r3) over the integers; for
+@_kept
+def _hessian_integers(r: BinaryCubic | DualCubic) -> tuple[int, int, int]:
+    """The Hessian quadratic of r's integer numerators (r0, r1, r2, r3); for
     r = R / den its coefficients are these divided by den^2."""
-    r0, r1, r2, r3 = nums
+    r0, r1, r2, r3 = r.integers()[0]
     return -9 * (r2 * r0 + r1 * r1), -9 * (r0 * r3 + r1 * r2), 9 * (r1 * r3 - r2 * r2)
 
 
 def discriminant(r: BinaryCubic | DualCubic) -> Fraction:
     """Discriminant of the Hessian quadratic; zero iff r has a repeated root."""
-    nums, den = r.integers()
-    d0, d1, d2 = _hessian_integers(nums)
-    return Fraction(d1 * d1 - 4 * d0 * d2, den**4)
+    d0, d1, d2 = _hessian_integers(r)
+    return Fraction(d1 * d1 - 4 * d0 * d2, r.integers()[1] ** 4)
 
 
+@_kept
 def classify(r: BinaryCubic | DualCubic) -> OrbitClass:
     """Orbit class from the two rational invariants only (no factoring).
 
     Both invariants are tested for zero on r's integer numerators: a common
     denominator does not change which of them vanish.
     """
-    nums, _ = r.integers()
-    if not any(nums):
+    if r.is_zero():
         return OrbitClass.C0
-    d0, d1, d2 = _hessian_integers(nums)
+    d0, d1, d2 = _hessian_integers(r)
     if not (d0 or d1 or d2):
         return OrbitClass.C1
     if d1 * d1 == 4 * d0 * d2:
@@ -455,16 +470,22 @@ def rational_lines(r: BinaryCubic | DualCubic):
     and the simple lines of a C3 cubic come from Hensel lifting
     (`_monic_integer_roots`).
     """
+    lines, residual = _split(r)
+    return list(lines), residual
+
+
+@_kept
+def _split(r: BinaryCubic | DualCubic) -> tuple[list[tuple[Line, int]], int]:
+    """The split of `rational_lines`, kept on r; each reader gets a copy of the list."""
     if r.is_zero():
         raise ZeroCubic("the zero cubic has no well-defined root list")
-    nums, _ = r.integers()
-    p = to_plain(nums)
     orbit = classify(r)
     if orbit is OrbitClass.C1:
-        return [(Line(*_repeated_line(nums, orbit)), 3)], 0
+        return [(Line(*_repeated_line(r)), 3)], 0
+    p = to_plain(r.integers()[0])
     if orbit is OrbitClass.C2:
         # by Gauss's lemma the primitive u divides p exactly over the integers
-        u1, u2 = _repeated_line(nums, orbit)
+        u1, u2 = _repeated_line(r)
         p = _divide_by_integer_form(_divide_by_integer_form(p, u1, u2), u1, u2)
         double, simple = Line(u1, u2), Line(p[0], -p[1])
         return sorted([(double, 2), (simple, 1)], key=lambda lm: _line_order(lm[0])), 0
@@ -472,9 +493,9 @@ def rational_lines(r: BinaryCubic | DualCubic):
     return [(u, 1) for u in lines], 3 - len(lines)
 
 
-def _repeated_line(nums: tuple[int, int, int, int], orbit: OrbitClass) -> tuple[int, int]:
+def _repeated_line(r: BinaryCubic | DualCubic) -> tuple[int, int]:
     """The primitive integer (u1, u2) of the repeated line of a C1 or C2
-    cubic with integer numerators nums, up to sign.
+    cubic r, up to sign.
 
     On C1 the plain form is p = k u^3 with u = u1*y - u2*x, so
     (3 p[0], -p[1]) = 3 k u1^2 (u1, u2), and that pair is 3 (r0, r1).  On C2
@@ -482,10 +503,10 @@ def _repeated_line(nums: tuple[int, int, int, int], orbit: OrbitClass) -> tuple[
     (2 d0, -d1) is a multiple of (u1, u2).  Either pair is zero exactly when
     u1 = 0, and then the line is [0:1].
     """
-    if orbit is OrbitClass.C1:
-        a, b = nums[0], nums[1]
+    if classify(r) is OrbitClass.C1:
+        a, b = r.integers()[0][:2]
     else:
-        d0, d1, _ = _hessian_integers(nums)
+        d0, d1, _ = _hessian_integers(r)
         a, b = 2 * d0, -d1
     if a == 0:
         return 0, 1

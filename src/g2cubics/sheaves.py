@@ -15,10 +15,11 @@ import enum
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import factorial, prod
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .cubics import OrbitClass, RATIONAL_SPLIT_REPRESENTATIVES, classify, rational_lines
+from .cubics import OrbitClass, RATIONAL_SPLIT_REPRESENTATIVES, rational_lines
 from .conormal import dual_orbit_class
 from .linalg import Matrix, rank, solve
 
@@ -242,16 +243,12 @@ TABLES = SheafTables(
 
 
 def _line_census(orbit: OrbitClass) -> tuple[int, int]:
-    """(distinct lines, ordered line factorizations) of a split representative."""
+    """(distinct lines, ordered line factorizations 3! / prod m!) of a split representative."""
     if orbit is OrbitClass.C0:
         raise ValueError("the zero cubic has no line census")
-    r = RATIONAL_SPLIT_REPRESENTATIVES[orbit]
-    lines, residual = rational_lines(r)
+    lines, residual = rational_lines(RATIONAL_SPLIT_REPRESENTATIVES[orbit])
     assert residual == 0
-    distinct = len(lines)
-    # permutations of the multiset of line multiplicities
-    orderings = {OrbitClass.C1: 1, OrbitClass.C2: 3, OrbitClass.C3: 6}
-    return distinct, orderings[classify(r)]
+    return len(lines), factorial(3) // prod(factorial(m) for _, m in lines)
 
 
 def recomputed_finite_fiber_counts() -> dict[tuple[Cover, OrbitClass], int]:
@@ -262,7 +259,7 @@ def recomputed_finite_fiber_counts() -> dict[tuple[Cover, OrbitClass], int]:
     ordered pairs of distinct Hessian lines) and 1:1 over the double-line
     orbit.
     """
-    d1, _ = _line_census(OrbitClass.C1)
+    d1, o1 = _line_census(OrbitClass.C1)
     d2, o2 = _line_census(OrbitClass.C2)
     d3, o3 = _line_census(OrbitClass.C3)
     return {
@@ -274,7 +271,7 @@ def recomputed_finite_fiber_counts() -> dict[tuple[Cover, OrbitClass], int]:
         (Cover.RHO3, OrbitClass.C1): d1,
         (Cover.RHO3PP, OrbitClass.C3): o3,
         (Cover.RHO3PP, OrbitClass.C2): o2,
-        (Cover.RHO3PP, OrbitClass.C1): 1,
+        (Cover.RHO3PP, OrbitClass.C1): o1,
         (Cover.RHOE, OrbitClass.C3): 2,
         (Cover.RHOE, OrbitClass.C2): 1,
     }

@@ -352,9 +352,9 @@ def check_conormal_kernel_typing() -> str | None:
 
 def check_conormal_kernel_equivariance(trials: int = 100, seed: int = 113) -> str | None:
     rng = random.Random(seed)
-    reps = list(REPRESENTATIVES.values())
+    reps = [act(g, rep) for g in _KERNEL_FRAMES for rep in REPRESENTATIVES.values()]
     for k in range(trials):
-        r = reps[rng.randrange(4)]
+        r = reps[rng.randrange(len(reps))]
         basis = conormal.conormal_kernel(r)
         if not basis:
             continue

@@ -39,6 +39,8 @@ _CUBICS = (
     ("4", "-8/3", "115/3", "-175"),  # C2, double line [1:5/2]
     ("0", "0", "0", "1"),  # C1, line [0:1]
     ("0", "0", "1", "0"),  # C2, double line [0:1]
+    ("6", "35/3", "18", "-35"),  # C3, (2 y - x)(3 y + 5 x)(y - 7 x): lines [1:1/2], [1:-5/3], [1:7]
+    ("45", "1", "64/3", "28"),  # C2, (3 y + 2 x)^2 (5 y - 7 x): double line [1:-2/3], simple [1:7/5]
 )
 _PAIRS = (
     ("1", "0", "0", "0", "5", "7", "0", "0"),
@@ -52,7 +54,7 @@ def _cases() -> list[list[str]]:
     per_format = []
     for r in _CUBICS:
         per_format += [["classify", *r], ["kernel", *r]]
-    for r in _CUBICS[:3] + _CUBICS[4:5]:
+    for r in _CUBICS[:3] + _CUBICS[4:5] + _CUBICS[10:]:
         per_format.append(["stabilizer", *r])
     for c in _PAIRS:
         per_format += [["pair", *c], ["moment", *c], ["lambda-regular", *c]]

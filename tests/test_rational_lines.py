@@ -1,4 +1,4 @@
-"""rational_lines against two independent references.
+"""rational_lines and classify against independent references.
 
 - `sympy.factor_list`, on cubics with 64- to 256-bit coefficients drawn by
   hypothesis: products of lines (some repeated), a line times an
@@ -7,6 +7,9 @@
   lifting, kept below as a test-only reference.  It is exponential in the
   bit-length, so it runs on small coefficients only, where it also pins the
   order in which lines are listed.
+- For `classify`, the root-multiplicity pattern of `sympy.factor_list`, on
+  line products (repeated lines and the line [0:1] among them) and general
+  cubics with 64- to 2048-bit coefficients.
 """
 
 import random
@@ -14,7 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import sympy
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from g2cubics.cubics import (
@@ -226,3 +229,46 @@ def test_thousand_digit_split_cubic():
     for axis in ((0, 1), (1, 0)):
         r = line_product(_form(*axis), _form(*axis), _form(*v), scale=c)
         assert rational_lines(r) == ([(Line(*axis), 2), (Line(*v), 1)], 0)
+
+
+# -- classify against the multiplicity pattern of sympy.factor_list ----------
+
+T = sympy.symbols("t")
+ORBIT_OF_PATTERN = {(3,): OrbitClass.C1, (2, 1): OrbitClass.C2, (1, 1, 1): OrbitClass.C3}
+
+
+def sympy_orbit(r: BinaryCubic) -> OrbitClass:
+    """The orbit of a nonzero r from the multiplicities of its roots.
+
+    f(t) = r(t, 1) in the plain basis; each irreducible factor of f of
+    degree d and multiplicity m gives d roots of multiplicity m, and the
+    line [1:0] (t at infinity) has multiplicity 3 - deg f.
+    """
+    plain = [sympy.Rational(c.numerator, c.denominator) for c in to_plain(r.coeffs)]
+    f = sympy.Poly(list(reversed(plain)), T)
+    _, factors = sympy.factor_list(f)
+    pattern = [m for g, m in factors for _ in range(g.degree())] + [3 - f.degree()]
+    return ORBIT_OF_PATTERN[tuple(sorted(filter(None, pattern), reverse=True))]
+
+
+# line entries of 22-683 bits make cubic coefficients of about 64-2048 bits
+wide_entry = st.integers(2**21, 2**683).flatmap(lambda n: st.sampled_from([n, -n]))
+wide_line_entry = st.one_of(st.sampled_from([-1, 0, 1]), wide_entry)
+wide_line = st.tuples(wide_line_entry, wide_line_entry).filter(lambda u: u != (0, 0))
+wide_cubic_entry = st.integers(2**63, 2**2048).flatmap(lambda n: st.sampled_from([n, -n]))
+
+
+@given(wide_line, wide_line, wide_line, st.sampled_from(["distinct", "double", "triple"]), scale)
+@example((0, 1), (0, 1), (2**100, 3), "double", Fraction(1))  # double line [0:1]: u1 = 0
+@example((0, 1), (0, 1), (0, 1), "triple", Fraction(2, 3))  # triple line [0:1]
+@example((0, 1), (1, 0), (2**600 + 1, -(3**400)), "distinct", Fraction(1))
+def test_classify_of_line_products_matches_sympy(u, v, w, shape, c):
+    lines = {"distinct": [u, v, w], "double": [u, u, v], "triple": [u, u, u]}[shape]
+    r = line_product(*(_form(*x) for x in lines), scale=c)
+    assert classify(r) is sympy_orbit(r)
+
+
+@given(st.tuples(wide_cubic_entry, wide_cubic_entry, wide_cubic_entry, wide_cubic_entry), scale)
+def test_classify_of_general_cubics_matches_sympy(coeffs, k):
+    r = BinaryCubic(*coeffs).scale(k)
+    assert classify(r) is sympy_orbit(r)

@@ -72,10 +72,10 @@ def _negated_coordinate_0(basis):
          lambda fn: _kernel_on({OrbitClass.C2}, fn, lambda basis: [s.scale(2) for s in basis]),
          {"conormal-kernel-dimensions"}),
         # coordinate 0 is zero at the canonical points, where the repeated
-        # line is [1:0], so only the moved representatives see this one
+        # line is [1:0], so only the checks on moved representatives see this one
         ("conormal_kernel",
          lambda fn: _kernel_on({OrbitClass.C1, OrbitClass.C2}, fn, _negated_coordinate_0),
-         {"conormal-kernel-dimensions", "conormal-kernel-typing"}),
+         {"conormal-kernel-dimensions", "conormal-kernel-typing", "conormal-kernel-equivariance"}),
         ("stabilizer_dimension", lambda fn: lambda *args: fn(*args) + 1,
          {"stabilizer-orders", "microlocal-stabilizer-orders"}),
     ],
