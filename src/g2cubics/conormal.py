@@ -27,9 +27,8 @@ from .cubics import (
     GroupElement,
     OrbitClass,
     _repeated_line,
+    _substitute,
     _twisted,
-    act,
-    act_dual,
     classify,
     poly_dx,
     poly_dy,
@@ -270,13 +269,29 @@ def _conjugates(
     """g b g^{-1} for each b in base, each verified to fix r (and s).
 
     An element fixing the base point is carried to one fixing its image
-    under g; the check makes every returned element honest.
+    under g; the check makes every returned element honest.  It runs on
+    integers: with g = G / gden and b = B / bden, h = g b g^{-1} is
+    G B adj(G) / (bden det(G)), reduced by one gcd to its integer form
+    H / lam.  t I acts on cubics by t and on dual cubics by 1/t, so h fixes
+    r = R / rden exactly when R((x, y) H) = lam det(H) R, and s = S / sden
+    exactly when lam S((x, y) t(adj(H))) = det(H)^2 S, in the plain basis.
     """
-    ginv = g.inverse()
+    g0, g1, g2, g3, _, gdet = g.require_invertible()
+    r_plain = to_plain(r.integers()[0])
+    s_plain = None if s is None else to_plain(s.integers()[0])
     out = []
     for b in base:
-        h = g * b * ginv
-        if act(h, r) != r or (s is not None and act_dual(h, s) != s):
+        (b0, b1, b2, b3), bden = b.integers()
+        # G B, then (G B) adj(G) with adj(G) = [[g3, -g1], [-g2, g0]]
+        e0, e1, e2, e3 = g0 * b0 + g1 * b2, g0 * b1 + g1 * b3, g2 * b0 + g3 * b2, g2 * b1 + g3 * b3
+        h0, h1, h2, h3 = e0 * g3 - e1 * g2, e1 * g0 - e0 * g1, e2 * g3 - e3 * g2, e3 * g0 - e2 * g1
+        h = GroupElement._from_integers((h0, h1, h2, h3), bden * gdet)
+        h0, h1, h2, h3, lam, det = h.integer_entries()
+        r_scale, s_scale = lam * det, det * det
+        if _substitute(r_plain, h0, h1, h2, h3) != [r_scale * c for c in r_plain] or (
+            s_plain is not None
+            and [lam * c for c in _substitute(s_plain, h3, -h2, -h1, h0)] != [s_scale * c for c in s_plain]
+        ):
             raise IrrationalSplitting("a conjugated base element does not fix the point")
         out.append(h)
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, log
 
 from .linalg import Matrix, common_denominator, format_rational, rational
 
@@ -232,7 +232,8 @@ class GroupElement(_CoeffVector):
 
 class Line:
     """A projective line [u1:u2], i.e. the form u1*y - u2*x, normalized so the
-    first nonzero coordinate is 1."""
+    first nonzero coordinate is 1.  Immutable: it is hashed, and the lines
+    of a cubic's kept split are handed to every reader."""
 
     __slots__ = ("u1", "u2")
 
@@ -241,8 +242,14 @@ class Line:
         if u1 == 0 and u2 == 0:
             raise ValueError("a line needs a nonzero coordinate pair")
         scale = u1 if u1 != 0 else u2
-        self.u1 = u1 / scale
-        self.u2 = u2 / scale
+        object.__setattr__(self, "u1", u1 / scale)
+        object.__setattr__(self, "u2", u2 / scale)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Line is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Line is immutable: cannot delete {name!r}")
 
     def perp(self) -> "Line":
         """The unique line v with u1*v1 + u2*v2 = 0."""
@@ -389,12 +396,16 @@ def hessian_quadratic(r: BinaryCubic | DualCubic):
     return tuple(Fraction(d, den) for d in _hessian_integers(r))
 
 
+def _hessian(r0: int, r1: int, r2: int, r3: int) -> tuple[int, int, int]:
+    """The Hessian quadratic (d0, d1, d2) of the cubic with coefficients r0..r3."""
+    return -9 * (r2 * r0 + r1 * r1), -9 * (r0 * r3 + r1 * r2), 9 * (r1 * r3 - r2 * r2)
+
+
 @_kept
 def _hessian_integers(r: BinaryCubic | DualCubic) -> tuple[int, int, int]:
     """The Hessian quadratic of r's integer numerators (r0, r1, r2, r3); for
     r = R / den its coefficients are these divided by den^2."""
-    r0, r1, r2, r3 = r.integers()[0]
-    return -9 * (r2 * r0 + r1 * r1), -9 * (r0 * r3 + r1 * r2), 9 * (r1 * r3 - r2 * r2)
+    return _hessian(*r.integers()[0])
 
 
 def discriminant(r: BinaryCubic | DualCubic) -> Fraction:
@@ -403,15 +414,28 @@ def discriminant(r: BinaryCubic | DualCubic) -> Fraction:
     return Fraction(d1 * d1 - 4 * d0 * d2, r.integers()[1] ** 4)
 
 
+# a prime below 2^30: it fits in one CPython digit, so reducing a numerator
+# of any size modulo it is a single-digit division
+_P = 1073741789
+
+
 @_kept
 def classify(r: BinaryCubic | DualCubic) -> OrbitClass:
     """Orbit class from the two rational invariants only (no factoring).
 
     Both invariants are tested for zero on r's integer numerators: a common
-    denominator does not change which of them vanish.
+    denominator does not change which of them vanish.  The discriminant is
+    first evaluated on the numerators' residues modulo the prime `_P`; a
+    nonzero residue certifies a nonzero discriminant, so r is C3 and no
+    full-size product is formed.  A zero residue (every C0, C1 and C2 cubic,
+    and the C3 cubics whose discriminant `_P` divides) decides on the exact
+    Hessian.
     """
     if r.is_zero():
         return OrbitClass.C0
+    d0, d1, d2 = _hessian(*(n % _P for n in r.integers()[0]))
+    if (d1 * d1 - 4 * d0 * d2) % _P:
+        return OrbitClass.C3
     d0, d1, d2 = _hessian_integers(r)
     if not (d0 or d1 or d2):
         return OrbitClass.C1
@@ -467,8 +491,8 @@ def rational_lines(r: BinaryCubic | DualCubic):
 
     The work is polynomial in the bit-length of r and runs on its integer
     form: the repeated line of a C1 or C2 cubic is read off in closed form,
-    and the simple lines of a C3 cubic come from Hensel lifting
-    (`_monic_integer_roots`).
+    and the simple lines of a C3 cubic come from one Hensel-lifted root and
+    a square root (`_monic_integer_roots`).
     """
     lines, residual = _split(r)
     return list(lines), residual
@@ -577,29 +601,49 @@ def _good_prime(disc: int) -> int:
 
 
 def _monic_integer_roots(f: list[int], bound: int) -> list[int]:
-    """Integer roots s with |s| <= bound of a square-free monic f (lowest first).
+    """The integer roots of a square-free monic f (lowest degree first) of
+    degree 1, 2 or 3, all of whose integer roots have |s| <= bound.
 
-    Modulo the smallest prime p not dividing the discriminant every root is
-    simple, so each root mod p lifts uniquely.  Newton-Hensel doubles the
-    precision p^k per step, updating the inverse derivative by its own Newton
-    step, until p^k > 2*bound; the symmetric residue is then the only
-    candidate, kept if f vanishes there exactly.
+    A quadratic takes its roots from one `isqrt` of its discriminant.  A
+    cubic is deflated by one integer root to a monic integer quadratic.  To
+    find that root: modulo the smallest prime p not dividing the
+    discriminant every root is simple, so each root mod p lifts uniquely.
+    Newton-Hensel lifts it, at most doubling the exponent e of the precision
+    p^e per step and updating the inverse derivative by its own Newton step,
+    up to p^k > 2*bound with k the least such exponent (up to float
+    rounding); the symmetric residue is then the only candidate, kept if f
+    vanishes there exactly.
     """
+    if len(f) == 2:
+        return [-f[0]]
+    if len(f) == 3:
+        c, b, _ = f
+        disc = b * b - 4 * c
+        root = isqrt(disc) if disc > 0 else 0
+        if root * root != disc:
+            return []
+        return [(-b - root) // 2, (-b + root) // 2]
     p = _good_prime(_monic_discriminant(f))
+    k = int(log(2 * bound, p)) + 1
+    if p**k <= 2 * bound:
+        k += 1
+    moduli = []  # p^e for the exponents e of the lift, each at most twice the one before
+    while k > 1:
+        moduli.insert(0, p**k)
+        k = (k + 1) // 2
     df = [j * c for j, c in enumerate(f)][1:]
     fp = [c % p for c in f]
-    roots = []
     for x in range(p):
         if _eval_int(fp, x) % p:
             continue
-        m = p
-        inv = pow(_eval_int(df, x), -1, p)
-        while m <= 2 * bound:
-            m *= m
+        m, inv = p, pow(_eval_int(df, x), -1, p)
+        for step, m in enumerate(moduli, 1):
             x = (x - _eval_int(f, x) * inv) % m
-            inv = inv * (2 - _eval_int(df, x) * inv) % m
+            if step < len(moduli):  # the last step needs no inverse
+                inv = inv * (2 - _eval_int(df, x) * inv) % m
         if x > m // 2:
             x -= m
         if _eval_int(f, x) == 0:
-            roots.append(x)
-    return roots
+            c, b, a, _ = f
+            return [x, *_monic_integer_roots([b + x * (a + x), a + x, 1], bound)]
+    return []

@@ -303,8 +303,9 @@ def check_dual_action_matrix(trials: int = 50, seed: int = 112) -> str | None:
 
 # frames moving the representatives: the identity keeps the repeated line of
 # C1 and C2 at [1:0], two frames move it to [1:t] with t = 5/2 and t = -9/2,
-# and the swap moves it to [0:1]
-_KERNEL_FRAMES = (
+# and the swap moves it to [0:1]; the third makes the moved stabilizers
+# non-integral, so their fixed-point test sees its scale factors
+_FRAMES = (
     GroupElement(1, 0, 0, 1),
     GroupElement(2, -5, 1, 2),
     GroupElement(Fraction(1, 2), 3, -1, Fraction(2, 3)),
@@ -316,7 +317,7 @@ def check_conormal_kernel_dims() -> str | None:
     """The exact kernel of each moved representative's moment matrix has the
     expected dimension, and `conormal_kernel` returns that basis."""
     expected = {OrbitClass.C0: 4, OrbitClass.C1: 2, OrbitClass.C2: 1, OrbitClass.C3: 0}
-    for g in _KERNEL_FRAMES:
+    for g in _FRAMES:
         for orbit, rep in REPRESENTATIVES.items():
             r = act(g, rep)
             solved = [DualCubic(*v) for v in kernel_basis(conormal.moment_matrix_of(r))]
@@ -334,7 +335,7 @@ def check_conormal_kernel_typing() -> str | None:
     """Kernel typing via division: C2 kernels are perp triple lines, C1
     kernels are divisible twice by the perp line, on every moved
     representative."""
-    for g in _KERNEL_FRAMES:
+    for g in _FRAMES:
         r2 = act(g, REPRESENTATIVES[OrbitClass.C2])
         (lines2, _) = cubics.rational_lines(r2)
         v2 = {m: u for u, m in lines2}[2].perp()
@@ -352,7 +353,7 @@ def check_conormal_kernel_typing() -> str | None:
 
 def check_conormal_kernel_equivariance(trials: int = 100, seed: int = 113) -> str | None:
     rng = random.Random(seed)
-    reps = [act(g, rep) for g in _KERNEL_FRAMES for rep in REPRESENTATIVES.values()]
+    reps = [act(g, rep) for g in _FRAMES for rep in REPRESENTATIVES.values()]
     for k in range(trials):
         r = reps[rng.randrange(len(reps))]
         basis = conormal.conormal_kernel(r)
@@ -371,38 +372,44 @@ def check_conormal_kernel_equivariance(trials: int = 100, seed: int = 113) -> st
 def check_stabilizer_orders() -> str | None:
     expected_dims = {OrbitClass.C0: 4, OrbitClass.C1: 2, OrbitClass.C2: 1, OrbitClass.C3: 0}
     expected_orders = {OrbitClass.C0: 1, OrbitClass.C1: 1, OrbitClass.C2: 1, OrbitClass.C3: 6}
-    for orbit, rep in RATIONAL_SPLIT_REPRESENTATIVES.items():
-        desc = conormal.stabilizer_of_cubic(rep)
-        if desc.dimension != expected_dims[orbit]:
-            return f"{orbit}: dimension {desc.dimension} != {expected_dims[orbit]}"
-        solved = conormal.stabilizer_dimension(rep)
-        if solved != desc.dimension:
-            return f"{orbit}: dimension {desc.dimension} != solved {solved}"
-        elems = desc.group_elements()
-        if len(elems) != expected_orders[orbit]:
-            return f"{orbit}: component order {len(elems)} != {expected_orders[orbit]}"
-        for h in elems:
-            if act(h, rep) != rep:
-                return f"{orbit}: listed element {h!r} does not stabilize"
+    for orbit, base in RATIONAL_SPLIT_REPRESENTATIVES.items():
+        # the dimension is constant on the orbit: solved once, on the representative
+        solved = conormal.stabilizer_dimension(base)
+        for g in _FRAMES:
+            rep = act(g, base)
+            desc = conormal.stabilizer_of_cubic(rep)
+            if desc.dimension != expected_dims[orbit]:
+                return f"{orbit} moved by {g!r}: dimension {desc.dimension} != {expected_dims[orbit]}"
+            if solved != desc.dimension:
+                return f"{orbit} moved by {g!r}: dimension {desc.dimension} != solved {solved}"
+            elems = desc.group_elements()
+            if len(elems) != expected_orders[orbit]:
+                return f"{orbit} moved by {g!r}: component order {len(elems)} != {expected_orders[orbit]}"
+            for h in elems:
+                if act(h, rep) != rep:
+                    return f"{orbit} moved by {g!r}: listed element {h!r} does not stabilize"
     return None
 
 
 def check_microlocal_orders() -> str | None:
     expected = {0: 6, 1: 2, 2: 2, 3: 6}
     groups = {0: "S3", 1: "S2", 2: "S2", 3: "S3"}
-    for stratum, point in conormal.canonical_regular_pairs().items():
-        desc = conormal.microlocal_stabilizer(point)
-        solved = conormal.stabilizer_dimension(point.r, point.s)
-        if desc.dimension != solved:
-            return f"stratum {stratum}: dimension {desc.dimension} != solved {solved}"
-        elems = desc.group_elements()
-        if len(elems) != expected[stratum]:
-            return f"stratum {stratum}: order {len(elems)} != {expected[stratum]}"
-        if desc.component_group.value != groups[stratum]:
-            return f"stratum {stratum}: group {desc.component_group.value}"
-        for h in elems:
-            if act(h, point.r) != point.r or act_dual(h, point.s) != point.s:
-                return f"stratum {stratum}: element {h!r} does not fix the pair"
+    for stratum, base in conormal.canonical_regular_pairs().items():
+        # the dimension is constant on the stratum: solved once, on the canonical pair
+        solved = conormal.stabilizer_dimension(base.r, base.s)
+        for g in _FRAMES:
+            point = conormal.ConormalPoint(act(g, base.r), act_dual(g, base.s))
+            desc = conormal.microlocal_stabilizer(point)
+            if desc.dimension != solved:
+                return f"stratum {stratum} moved by {g!r}: dimension {desc.dimension} != solved {solved}"
+            elems = desc.group_elements()
+            if len(elems) != expected[stratum]:
+                return f"stratum {stratum} moved by {g!r}: order {len(elems)} != {expected[stratum]}"
+            if desc.component_group.value != groups[stratum]:
+                return f"stratum {stratum} moved by {g!r}: group {desc.component_group.value}"
+            for h in elems:
+                if act(h, point.r) != point.r or act_dual(h, point.s) != point.s:
+                    return f"stratum {stratum} moved by {g!r}: element {h!r} does not fix the pair"
     return None
 
 

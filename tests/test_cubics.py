@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from g2cubics.cubics import (
+    _P,
     _substitute,
     BinaryCubic,
     DualCubic,
@@ -27,9 +28,9 @@ from g2cubics.cubics import (
     rational_lines,
     to_plain,
 )
-from g2cubics.linalg import Matrix, common_denominator
+from g2cubics.linalg import Matrix, common_denominator, int_poly_mul
 
-from fraction_reference import divide_by_form
+from fraction_reference import divide_by_form, from_plain
 
 
 def rng_cubic(rng, span=4):
@@ -180,6 +181,65 @@ def test_classify_is_action_invariant():
     for _ in range(300):
         r, h = rng_cubic(rng), rng_element(rng)
         assert classify(act(h, r)) is classify(r)
+
+
+def _exact_orbit(r):
+    """The orbit read off the exact invariants, without `classify`."""
+    if r.is_zero():
+        return OrbitClass.C0
+    if not any(hessian_quadratic(r)):
+        return OrbitClass.C1
+    return OrbitClass.C2 if discriminant(r) == 0 else OrbitClass.C3
+
+
+def _line_cubic(*lines):
+    """The cubic prod(u1*y - u2*x) over the given integer lines (u1, u2)."""
+    p = [1]
+    for u1, u2 in lines:
+        p = int_poly_mul(p, [u1, -u2])
+    return BinaryCubic(*from_plain(p))
+
+
+def _big_line(rng):
+    return rng.randint(10**333, 10**334), rng.choice([-1, 1]) * rng.randint(10**333, 10**334)
+
+
+def _fallback_cubics():
+    """Cubics whose discriminant the residue prime _P divides, with their orbits."""
+    rng = random.Random(17)
+    g = GroupElement(10**333 + 1, -(7**400), Fraction(3**700, 11), 2**1100)  # 1000-digit frame
+    cases = []
+    for k in (1, 2):  # x y (P^k y - x): lines [0:1], [1:0], [1:1/P^k]
+        r = BinaryCubic(0, Fraction(-(_P**k), 3), Fraction(1, 3), 0)
+        cases += [(r, OrbitClass.C3), (act(g, r), OrbitClass.C3)]
+    for _ in range(3):  # line products at 1000 digits
+        u, v = _big_line(rng), _big_line(rng)
+        cases += [(_line_cubic(u, u, u), OrbitClass.C1), (_line_cubic(u, u, v), OrbitClass.C2)]
+    cases += [(_line_cubic((0, 1), (0, 1), _big_line(rng)), OrbitClass.C2),
+              (_line_cubic((0, 1), (0, 1), (0, 1)), OrbitClass.C1)]
+    return cases
+
+
+def test_classify_decides_on_the_exact_invariants_when_the_residue_vanishes():
+    for r, orbit in _fallback_cubics():
+        assert discriminant(r).numerator % _P == 0
+        fresh = BinaryCubic(*r.coeffs)
+        assert classify(fresh) is orbit is _exact_orbit(r)
+
+
+def test_classify_agrees_with_the_exact_invariants_at_1000_digits():
+    rng = random.Random(18)
+    for _ in range(20):
+        r = BinaryCubic(*(Fraction(rng.randint(-10**1000, 10**1000), rng.randint(1, 10**20)) for _ in range(4)))
+        u, v, w = (_big_line(rng) for _ in range(3))
+        for cubic in (r, _line_cubic(u, v, w)):
+            assert discriminant(cubic).numerator % _P != 0
+            assert classify(cubic) is OrbitClass.C3 is _exact_orbit(cubic)
+
+
+def test_the_prime_case_splits_into_its_three_lines():
+    r = BinaryCubic(0, Fraction(-_P, 3), Fraction(1, 3), 0)
+    assert rational_lines(r) == ([(Line(0, 1), 1), (Line(1, 0), 1), (Line(1, Fraction(1, _P)), 1)], 0)
 
 
 def test_discriminant_equivariance_power_is_two():

@@ -41,6 +41,9 @@ _CUBICS = (
     ("0", "0", "1", "0"),  # C2, double line [0:1]
     ("6", "35/3", "18", "-35"),  # C3, (2 y - x)(3 y + 5 x)(y - 7 x): lines [1:1/2], [1:-5/3], [1:7]
     ("45", "1", "64/3", "28"),  # C2, (3 y + 2 x)^2 (5 y - 7 x): double line [1:-2/3], simple [1:7/5]
+    # C3, x y (P y - x) for the prime P of `cubics.classify`'s residue test,
+    # which P divides the discriminant of: lines [0:1], [1:0], [1:1/P]
+    ("0", "-1073741789/3", "1/3", "0"),
 )
 _PAIRS = (
     ("1", "0", "0", "0", "5", "7", "0", "0"),

@@ -97,6 +97,13 @@ def test_cli_commands_derive_each_fact_once_per_input():
             assert code == (2 if argv[0] == "stabilizer" and kind in ("line-quadratic", "eisenstein") else 0)
             assert counts and max(counts.values()) == 1, (kind, argv[0], counts.values())
             assert counts["orbit", "BinaryCubic", r.integers()] == 1
+            # the residue test certifies C3 without the Hessian, which only
+            # `classify` prints
+            hessians = counts["hessian", "BinaryCubic", r.integers()]
+            if argv[0] == "classify":
+                assert hessians == 1
+            elif classify(r) is OrbitClass.C3:
+                assert hessians == 0, (kind, argv[0])
 
 
 @pytest.mark.parametrize("stratum", range(4))
@@ -129,6 +136,28 @@ def test_a_moved_cubic_keeps_no_facts_even_when_it_equals_the_input():
     classify(s)
     moved = act_dual(GroupElement.identity(), s)
     assert moved == s and vars(moved) == {}
+
+
+def test_a_c3_cubic_whose_discriminant_the_prime_divides_derives_the_hessian():
+    coeffs = ["0", f"-{cubics._P}/3", "1/3", "0"]  # x y (P y - x)
+    for command in ("classify", "kernel", "stabilizer"):
+        with derivations() as counts:
+            assert _main(command, *coeffs) == 0
+        assert counts["hessian", "BinaryCubic", BinaryCubic(*coeffs).integers()] == 1
+
+
+def test_a_kept_line_cannot_be_changed():
+    r = BinaryCubic(6, Fraction(35, 3), 18, -35)
+    split = repr(rational_lines(r))
+    line = rational_lines(r)[0][0][0]
+    with pytest.raises(AttributeError):
+        line.u2 = 99
+    for name in ("u1", "u2"):
+        with pytest.raises(AttributeError):
+            setattr(line, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(line, name)
+    assert repr(rational_lines(r)) == split == "([(Line[1:1/2], 1), (Line[1:-5/3], 1), (Line[1:7], 1)], 0)"
 
 
 def test_a_returned_line_list_does_not_alias_the_kept_split():
