@@ -1,7 +1,10 @@
 """Exact rational scalars, small dense matrices and rational functions in q.
 
-Every answer is exact over `fractions.Fraction`; there is no floating point
-anywhere.  Matrices are small (the largest is the 21x18 stalk system) so
+Every answer is exact; there is no floating point anywhere.  Matrix entries
+are `fractions.Fraction`s, cleared to integer numerators over one common
+denominator where a formula runs over Python ints.  Polynomials in q compute
+on that integer form alone and build Fraction coefficients only when read.
+Matrices are small (the largest is the 21x18 stalk system) so
 Gauss-Jordan elimination with exact pivoting is all we need.  Elimination
 skips zeros: it updates only the rows with a nonzero entry in the pivot
 column, and in them only the pivot row's nonzero columns, so the sparse
@@ -296,7 +299,9 @@ def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:
 
 
 # ---------------------------------------------------------------------------
-# Integer-coefficient polynomials in one formal variable q, and their ratios.
+# Polynomials in one formal variable q and their ratios, kept in integer form:
+# integer numerators over one positive denominator, so every operation runs
+# over Python ints.
 # ---------------------------------------------------------------------------
 
 
@@ -325,38 +330,95 @@ def _trim(coeffs: list) -> tuple:
     return tuple(c)
 
 
-class Poly:
-    """Univariate polynomial with Fraction coefficients, lowest degree first."""
+def _integer_ratio(x) -> tuple[int, int]:
+    """(a, b) with x = a / b and b > 0, for an int, Fraction or 'p/q' string."""
+    if isinstance(x, int):
+        return x, 1
+    x = rational(x)
+    return x.numerator, x.denominator
 
-    __slots__ = ("coeffs",)
+
+class Poly:
+    """Univariate polynomial in q with rational coefficients, lowest degree
+    first.
+
+    A polynomial is kept as its integer form: numerators `_nums` (no trailing
+    zero) over one denominator `_den` > 0 with gcd(_den, *_nums) = 1, unique
+    per value; the zero polynomial is ((), 1).  Sums, products and powers run
+    over Python ints, and the Fraction `coeffs` tuple is built only when it
+    is read.
+    """
+
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        self.coeffs = _trim([rational(c) for c in coeffs])
+        self._coeffs = _trim([rational(c) for c in coeffs])
+        nums, self._den = common_denominator(self._coeffs)
+        self._nums = tuple(nums)
+
+    @classmethod
+    def _reduced(cls, nums: Sequence[int], den: int) -> "Poly":
+        """The polynomial nums / den, already in integer form."""
+        p = cls.__new__(cls)
+        p._nums, p._den, p._coeffs = tuple(nums), den, None
+        return p
+
+    @classmethod
+    def _from_integers(cls, nums: Sequence[int], den: int = 1) -> "Poly":
+        """The polynomial with coefficients nums[i] / den for ints, den
+        nonzero: trailing zeros are dropped and, unless den is 1, one gcd
+        reduces it to the integer form."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        if den != 1:
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums, den = [n // g for n in nums], den // g
+        return cls._reduced(nums, den)
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls([rational(c)])
+        num, den = _integer_ratio(c)
+        return cls._from_integers((num,), den)
 
     @classmethod
     def q(cls) -> "Poly":
-        return cls([0, 1])
+        return cls._reduced((0, 1), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Fraction coefficients, built on the first read and kept."""
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(n, den) for n in self._nums)
+        return self._coeffs
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Poly) and self._nums == other._nums and self._den == other._den
+        )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+        den = lcm(self._den, other._den)
+        (a, sa), (b, sb) = (self._nums, den // self._den), (other._nums, den // other._den)
+        if len(a) < len(b):
+            (a, sa), (b, sb) = (b, sb), (a, sa)
+        out = [c * sa for c in a]
+        for i, c in enumerate(b):
+            out[i] += c * sb
+        return Poly._from_integers(out, den)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._reduced([-c for c in self._nums], self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -364,24 +426,39 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly()
-        return Poly(poly_mul(self.coeffs, other.coeffs))
+        return Poly._from_integers(int_poly_mul(self._nums, other._nums), self._den * other._den)
 
     def __pow__(self, n: int) -> "Poly":
-        result = Poly.const(1)
-        base = self
-        while n:
+        # (a / d)^n is already reduced: content(a^n) = content(a)^n is prime to d^n
+        if self.is_zero():
+            return Poly.const(1) if n == 0 else self
+        result, base, den = [1], list(self._nums), self._den**n
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = int_poly_mul(result, base)
             n >>= 1
-        return result
+            if not n:
+                return Poly._reduced(result, den)
+            base = int_poly_mul(base, base)
+
+    def _value(self, a: int, b: int) -> tuple[int, int]:
+        """(numerator, denominator) of the value at q = a / b, b > 0, by
+        Horner's rule over ints; the denominator is positive."""
+        nums = self._nums
+        if not nums:
+            return 0, 1
+        acc, bpow = nums[-1], 1
+        if b == 1:
+            for c in nums[-2::-1]:
+                acc = acc * a + c
+        else:
+            for c in nums[-2::-1]:
+                bpow *= b
+                acc = acc * a + c * bpow
+        return acc, self._den * bpow
 
     def __call__(self, x) -> Fraction:
-        x = rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return Fraction(*self._value(*_integer_ratio(x)))
 
     def __repr__(self):
         if self.is_zero():
@@ -470,18 +547,21 @@ class RationalFunctionQ:
         if num.is_zero():
             self.num, self.den = Poly(), Poly.const(1)
             return
-        # num / den = (n / nden) / (d / dden): split off the signed contents,
-        # divide both primitive parts by their primitive gcd (exact over the
-        # integers by Gauss's lemma) and keep one content ratio
-        (n, nden), (d, dden) = common_denominator(num.coeffs), common_denominator(den.coeffs)
-        cn, cd = _signed_content(n), _signed_content(d)
-        n, d = [c // cn for c in n], [c // cd for c in d]
+        # num / den = (n / nden) / (d / dden) in the integer forms: split off
+        # the signed contents, divide both primitive parts by their primitive
+        # gcd (exact over the integers by Gauss's lemma; skipped when it is 1)
+        # and keep one reduced content ratio p / r in the numerator
+        cn, cd = _signed_content(num._nums), _signed_content(den._nums)
+        n, d = [c // cn for c in num._nums], [c // cd for c in den._nums]
         g = int_poly_gcd(n, d)
-        if g[-1] < 0:
-            g = [-c for c in g]
-        ratio = Fraction(cn * dden, cd * nden)
-        self.num = Poly([ratio * c for c in _exact_quotient(n, g)])
-        self.den = Poly(_exact_quotient(d, g))
+        if len(g) > 1:
+            if g[-1] < 0:
+                g = [-c for c in g]
+            n, d = _exact_quotient(n, g), _exact_quotient(d, g)
+        p, r = cn * den._den, cd * num._den
+        k = gcd(p, r) if r > 0 else -gcd(p, r)
+        self.num = Poly._reduced([p // k * c for c in n], r // k)
+        self.den = Poly._reduced(d, 1)
 
     @classmethod
     def const(cls, c) -> "RationalFunctionQ":
@@ -537,8 +617,9 @@ class RationalFunctionQ:
 
 def eval_q(f: RationalFunctionQ, q0) -> Fraction:
     """Exact evaluation of f at q = q0; raises PoleAtPoint on a pole."""
-    q0 = rational(q0)
-    d = f.den(q0)
+    a, b = _integer_ratio(q0)
+    n, nden = f.num._value(a, b)
+    d, dden = f.den._value(a, b)
     if d == 0:
-        raise PoleAtPoint(f"denominator vanishes at q = {format_rational(q0)}")
-    return f.num(q0) / d
+        raise PoleAtPoint(f"denominator vanishes at q = {format_rational(Fraction(a, b))}")
+    return Fraction(n * dden, nden * d)

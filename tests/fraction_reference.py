@@ -1,6 +1,7 @@
-"""Fraction references that the integer kernels of `g2cubics.cubics` are
-compared with: division by a linear form (`divides`, `rational_lines`) and
-the twisted coefficients of a plain-basis cubic (`_twisted`).
+"""Fraction references that the integer kernels of `g2cubics` are compared
+with: division by a linear form (`divides`, `rational_lines`), the twisted
+coefficients of a plain-basis cubic (`_twisted`), and polynomials in q with
+one Fraction per coefficient (`linalg.Poly`).
 """
 
 from fractions import Fraction
@@ -33,3 +34,56 @@ def from_plain(plain, den=1):
     per coefficient; plain holds ints or Fractions."""
     a0, a1, a2, a3 = plain
     return Fraction(a0, den), Fraction(a1, -3 * den), Fraction(a2, -3 * den), Fraction(a3, -den)
+
+
+def poly_mul(p, q):
+    """Product of two nonempty coefficient lists, one Fraction per entry."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+class FractionPoly:
+    """A polynomial in q kept as its trimmed tuple of Fraction coefficients,
+    lowest degree first; every operation normalises Fractions."""
+
+    def __init__(self, coeffs=()):
+        c = [Fraction(x) for x in coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        self.coeffs = tuple(c)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        return FractionPoly(
+            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+        )
+
+    def __neg__(self):
+        return FractionPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self.coeffs or not other.coeffs:
+            return FractionPoly()
+        return FractionPoly(poly_mul(self.coeffs, other.coeffs))
+
+    def __pow__(self, n):
+        result, base = FractionPoly([1]), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __call__(self, x):
+        x, acc = Fraction(x), Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc

@@ -4,7 +4,10 @@ Each exact-arithmetic routine that clears denominators and runs over Python
 ints is compared with a plain Fraction body of the same formula, kept here
 as the reference: at 1- to 1000-digit numerators and denominators, with zero
 coefficients and non-integer entries. A singular group element must raise
-the same exception with the same message on both sides.
+the same exception with the same message on both sides. Polynomials in q
+are compared with `fraction_reference.FractionPoly` at 64- to 2048-bit
+entries, and their arithmetic must build no `linalg.Fraction` before the
+coefficients are read.
 """
 
 import re
@@ -17,7 +20,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from g2cubics import linalg, rootdata
+from g2cubics import linalg, rootdata, verify
 from g2cubics.conormal import moment, pairing, pairing_factored
 from g2cubics.cubics import (
     BinaryCubic,
@@ -37,14 +40,18 @@ from g2cubics.cubics import (
 )
 from g2cubics.linalg import (
     Matrix,
+    PoleAtPoint,
     Poly,
     RationalFunctionQ,
     common_denominator,
+    eval_q,
+    format_rational,
     int_poly_gcd,
     poly_mul,
 )
 
-from fraction_reference import divide_by_form, from_plain
+from fraction_reference import FractionPoly, divide_by_form, from_plain
+from fraction_reference import poly_mul as fraction_poly_mul
 
 DIGITS = (1, 2, 20, 100, 1000)
 
@@ -88,14 +95,6 @@ def outcome(fn, *args):
 
 
 # -- Fraction references --------------------------------------------------------
-
-
-def fraction_poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def fraction_det(h):
@@ -368,9 +367,6 @@ def test_line_products_reach_every_orbit():
 @given(st.lists(fractions(), min_size=1, max_size=5), st.lists(fractions(), min_size=1, max_size=5))
 def test_poly_mul_matches_fraction_reference(p, q):
     assert poly_mul(p, q) == fraction_poly_mul(p, q)
-    # Poly's product runs on poly_mul; a zero operand gives the zero Poly
-    assert Poly(p) * Poly(q) == Poly(fraction_poly_mul(p, q))
-    assert (Poly(p) * Poly()).is_zero() and (Poly() * Poly(q)).is_zero()
 
 
 # -- conormal -------------------------------------------------------------------
@@ -454,6 +450,128 @@ def test_rational_functions_match_fraction_reference(pair, n):
     for _ in range(abs(n)):
         power = power * f if n > 0 else power / f
     assert f**n == power
+
+
+# -- polynomials in q ------------------------------------------------------------
+
+
+@st.composite
+def wide_fractions(draw):
+    """A Fraction with 64- to 2048-bit numerator and denominator; a sixth are 0
+    and a sixth are small integers."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(draw(st.integers(-3, 3)))
+    bound = 1 << draw(st.sampled_from((64, 256, 2048)))
+    return Fraction(draw(st.integers(-bound, bound)), draw(st.integers(1, bound)))
+
+
+wide_polys = st.lists(wide_fractions(), max_size=5)
+BIG = Fraction(2**2048 + 1, 3**600)
+
+
+def assert_same(poly, reference):
+    """poly has the reference's coefficients, and its integer form equals the
+    one built from them, hash included."""
+    assert poly.coeffs == reference.coeffs
+    rebuilt = Poly(reference.coeffs)
+    assert poly == rebuilt and hash(poly) == hash(rebuilt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys, wide_polys, st.integers(0, 4), wide_fractions())
+@example([], [], 0, Fraction(0))
+@example([], [Fraction(2, 3)], 3, BIG)
+@example([Fraction(5, 3)], [Fraction(-5, 3)], 4, BIG)
+@example([1, 0, Fraction(-7, 2**64)], [Fraction(-1, 2**64), 3], 3, Fraction(0))
+def test_poly_operations_match_fraction_reference(p, q, n, x):
+    a, b, fa, fb = Poly(p), Poly(q), FractionPoly(p), FractionPoly(q)
+    assert_same(a + b, fa + fb)
+    assert_same(a - b, fa - fb)
+    assert_same(-a, -fa)
+    assert_same(a * b, fa * fb)
+    assert_same(b * a, fb * fa)
+    assert_same(a**n, fa**n)
+    assert a(x) == fa(x) and b(x.numerator) == fb(x.numerator)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_polys, wide_polys, wide_fractions())
+@example([], [1], Fraction(0))
+@example([Fraction(4, 9)], [-3], BIG)
+@example([0, 1], [3, 0, Fraction(-1, 2**64)], Fraction(0))
+@example([1], [-2, 1], Fraction(2))
+@example([-2, 1], [-4, 0, 1], Fraction(2))
+@example([-2, 1], [-4, 0, 1], Fraction(-2))
+def test_eval_q_matches_fraction_reference(p, q, x):
+    assume(any(q))
+    f = RationalFunctionQ(Poly(p), Poly(q))
+    num, den = FractionPoly(f.num.coeffs), FractionPoly(f.den.coeffs)
+    if den(x) == 0:
+        with pytest.raises(PoleAtPoint, match=re.escape(f"q = {format_rational(x)}")):
+            eval_q(f, x)
+        return
+    value = num(x) / den(x)
+    assert eval_q(f, x) == eval_q(f, format_rational(x)) == value
+    if x.denominator == 1:
+        assert eval_q(f, x.numerator) == value
+    if FractionPoly(q)(x) != 0:  # off the cancelled common factor
+        assert value == FractionPoly(p)(x) / FractionPoly(q)(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-(2**2048), 2**2048) | st.just(0), max_size=5),
+    st.integers(-(2**2048), 2**2048).filter(bool),
+    st.integers(-(2**64), 2**64).filter(bool),
+)
+def test_integer_form_is_unique(nums, den, k):
+    p = Poly._from_integers(nums, den)
+    reference = Poly([Fraction(n, den) for n in nums])
+    assert p == reference and hash(p) == hash(reference)
+    assert p.coeffs == reference.coeffs
+    assert Poly._from_integers([k * n for n in nums] + [0], k * den) == p
+
+
+def _counting_fraction():
+    """A stand-in for `linalg.Fraction` that records each construction and
+    answers isinstance checks as Fraction does."""
+    built = []
+
+    class Counted(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, Fraction)
+
+        def __call__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    return Counted("Fraction", (), {}), built
+
+
+def test_q_arithmetic_builds_no_fraction_until_read():
+    p = Poly([Fraction(3, 2**70), 0, Fraction(-5, 7)])
+    stand_in, built = _counting_fraction()
+    with mock.patch.object(linalg, "Fraction", stand_in):
+        q, one = Poly.q(), Poly.const(1)
+        f = RationalFunctionQ(p * q**3 - one, Poly.const(6) * (q + one) ** 2)
+        g = (f + RationalFunctionQ.q()) / (f - RationalFunctionQ.const(2)) * f**-2
+        assert g == g * RationalFunctionQ.const(1) and g != f
+        assert verify.check_gamma_from_l_factor() is None
+        assert rootdata.adjoint_gamma_data.__wrapped__() == rootdata.adjoint_gamma_data()
+        assert built == []
+        # one Fraction per polynomial value; eval_q builds only the quotient
+        for q0 in (0, 7, Fraction(-7, 3), BIG):
+            assert p(q0) == FractionPoly(p.coeffs)(q0)
+            assert len(built) == 1
+            eval_q(g, q0)
+            assert len(built) <= 1 + 3
+            built.clear()
+        # reading coefficients builds them, once
+        coeffs = g.num.coeffs
+        assert len(built) == len(coeffs) and g.num.coeffs is coeffs
 
 
 def test_formal_degree_data_is_unchanged():
