@@ -35,7 +35,7 @@ from .cubics import (
     rational_lines,
     to_plain,
 )
-from .linalg import Matrix, common_denominator, kernel_basis, poly_mul, rational
+from .linalg import Matrix, common_denominator, int_poly_mul, kernel_basis, rational
 
 
 class IrrationalSplitting(ValueError):
@@ -98,9 +98,10 @@ def pairing(r: BinaryCubic, s: DualCubic) -> Fraction:
 
 def dual_from_factors(v1, v2, v3, v4, v5, v6) -> DualCubic:
     """Expand (v1 y + v2 x)(v3 y + v4 x)(v5 y + v6 x) into dual coordinates."""
-    p = poly_mul(poly_mul([rational(v1), rational(v2)], [rational(v3), rational(v4)]),
-                 [rational(v5), rational(v6)])
-    return DualCubic._from_integers(*_twisted(*common_denominator(p)))
+    (p, pden), (q, qden), (f, fden) = (
+        common_denominator((rational(a), rational(b))) for a, b in ((v1, v2), (v3, v4), (v5, v6))
+    )
+    return DualCubic._from_integers(*_twisted(int_poly_mul(int_poly_mul(p, q), f), pden * qden * fden))
 
 
 def pairing_factored(r: BinaryCubic, v1, v2, v3, v4, v5, v6) -> Fraction:
@@ -137,16 +138,15 @@ def moment(r: BinaryCubic, s: DualCubic) -> Matrix:
 
 
 def moment_matrix_of(r: BinaryCubic) -> Matrix:
-    """Matrix of the linear map s |-> entries of [r, s] (4 rows, 4 cols)."""
-    r0, r1, r2, r3 = r.coeffs
-    return Matrix.from_rows(
-        [
-            [r0, 2 * r1, r2, 0],
-            [-r1, 2 * r2, r3, 0],
-            [0, -r0, 2 * r1, r2],
-            [0, r1, 2 * r2, r3],
-        ]
-    )
+    """Matrix of the linear map s |-> entries of [r, s] (4 rows, 4 cols):
+    column j is `moment` at the j-th unit dual cubic."""
+    columns = [moment(r, s) for s in _unit_duals(4)]
+    return Matrix(4, 4, [m[k // 2, k % 2] for k in range(4) for m in columns])
+
+
+def _unit_duals(n: int) -> list[DualCubic]:
+    """The first n of the four unit dual cubics (1, 0, 0, 0) .. (0, 0, 0, 1)."""
+    return [DualCubic(*(int(i == j) for i in range(4))) for j in range(n)]
 
 
 def conormal_kernel(r: BinaryCubic) -> list[DualCubic]:
@@ -171,7 +171,7 @@ def conormal_kernel(r: BinaryCubic) -> list[DualCubic]:
             return [DualCubic(-3 * t**2, 2 * t, 1, 0), DualCubic(2 * t**3, -t**2, 0, 1)]
     # on C0 every dual cubic; on the line [0:1], f = y and the kernel is
     # spanned by y^3 (and y^2 x on C1): the first 4 - dim unit dual cubics
-    return [DualCubic(*(int(i == j) for i in range(4))) for j in range(4 - orbit.dim)]
+    return _unit_duals(4 - orbit.dim)
 
 
 def dual_orbit_class(i: int) -> OrbitClass:
@@ -206,23 +206,17 @@ def canonical_regular_pairs() -> dict[int, ConormalPoint]:
 _GL2_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (row, col) of the four E_ij
 
 
-def _lie_act_primal(ij, r: BinaryCubic | DualCubic) -> list[Fraction]:
-    """d/dt act(exp(t E_ij), r) at t = 0, as a plain-basis cubic."""
+def _lie_act_primal(ij, r: BinaryCubic | DualCubic) -> list[int]:
+    """d/dt act(exp(t E_ij), r) at t = 0, as a plain-basis cubic, times r's
+    common denominator (one nonzero scale per cubic, so no kernel moves)."""
     i, j = ij
-    plain = to_plain(r.coeffs)
+    plain = to_plain(r.integers()[0])
     rx, ry = poly_dx(plain), poly_dy(plain)
     # (x X11 + y X21) r_x + (x X12 + y X22) r_y - tr(X) r
-    out = [Fraction(0)] * 4
-    cx = [Fraction(int(i == 1 and j == 0)), Fraction(int(i == 0 and j == 0))]  # x coeff of X row
-    cy = [Fraction(int(i == 1 and j == 1)), Fraction(int(i == 0 and j == 1))]
-    for k, c in enumerate(poly_mul(cx, rx)):
-        out[k] += c
-    for k, c in enumerate(poly_mul(cy, ry)):
-        out[k] += c
-    if i == j:
-        for k in range(4):
-            out[k] -= plain[k]
-    return out
+    cx = [int(i == 1 and j == 0), int(i == 0 and j == 0)]  # x coeff of X row
+    cy = [int(i == 1 and j == 1), int(i == 0 and j == 1)]
+    out = [a + b for a, b in zip(int_poly_mul(cx, rx), int_poly_mul(cy, ry))]
+    return [a - b for a, b in zip(out, plain)] if i == j else out
 
 
 def stabilizer_dimension(r: BinaryCubic, s: DualCubic | None = None) -> int:

@@ -132,10 +132,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self._entries[i * self.cols + j]
@@ -315,14 +311,6 @@ def int_poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     return out
 
 
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    """Product of two nonempty coefficient lists (Fractions or ints), by
-    index, over their cleared integer numerators."""
-    (p, pden), (q, qden) = common_denominator(p), common_denominator(q)
-    den = pden * qden
-    return [Fraction(v, den) for v in int_poly_mul(p, q)]
-
-
 def _trim(coeffs: list) -> tuple:
     c = list(coeffs)
     while c and c[-1] == 0:
@@ -430,6 +418,8 @@ class Poly:
 
     def __pow__(self, n: int) -> "Poly":
         # (a / d)^n is already reduced: content(a^n) = content(a)^n is prime to d^n
+        if n < 0:
+            raise ValueError(f"negative Poly exponent {n}")
         if self.is_zero():
             return Poly.const(1) if n == 0 else self
         result, base, den = [1], list(self._nums), self._den**n

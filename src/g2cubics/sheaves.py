@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from math import factorial, prod
 from types import MappingProxyType
@@ -77,89 +77,6 @@ class Cover(enum.Enum):
     RHOE = "rhoE"
 
 
-# push-forward decompositions; keys are (object, shift) with multiplicities
-KClass = dict[tuple[SimpleObject, int], int]
-
-DECOMPOSITIONS: dict[Cover, KClass] = {
-    Cover.RHO1: {(SimpleObject.IC1_C0, 0): 1, (SimpleObject.IC1_C1, 0): 1},
-    Cover.RHO2: {(SimpleObject.IC1_C2, 0): 1},
-    Cover.RHO3: {(SimpleObject.IC1_C3, 0): 1, (SimpleObject.ICR_C3, 0): 1},
-    Cover.RHO3PP: {
-        (SimpleObject.IC1_C3, 0): 1,
-        (SimpleObject.ICR_C3, 0): 2,
-        (SimpleObject.ICE_C3, 0): 1,
-        (SimpleObject.IC1_C0, 0): 3,
-        (SimpleObject.IC1_C0, 2): 1,
-        (SimpleObject.IC1_C0, -2): 1,
-    },
-    Cover.RHOE: {
-        (SimpleObject.IC1_C3, 0): 1,
-        (SimpleObject.ICE_C3, 0): 1,
-        (SimpleObject.IC1_C1, 0): 2,
-        (SimpleObject.IC1_C0, 0): 1,
-    },
-}
-
-# total cohomology ranks of cover fibers, per orbit (C0, C1, C2, C3).
-# The rhoE row is derived from its decomposition; the others are encoded.
-FIBER_RANKS: dict[Cover, dict[OrbitClass, int]] = {
-    Cover.RHO1: {OrbitClass.C0: 2, OrbitClass.C1: 1, OrbitClass.C2: 0, OrbitClass.C3: 0},
-    Cover.RHO2: {OrbitClass.C0: 2, OrbitClass.C1: 1, OrbitClass.C2: 1, OrbitClass.C3: 0},
-    Cover.RHO3: {OrbitClass.C0: 2, OrbitClass.C1: 1, OrbitClass.C2: 2, OrbitClass.C3: 3},
-    Cover.RHO3PP: {OrbitClass.C0: 8, OrbitClass.C1: 1, OrbitClass.C2: 3, OrbitClass.C3: 6},
-    Cover.RHOE: {OrbitClass.C0: 4, OrbitClass.C1: 3, OrbitClass.C2: 1, OrbitClass.C3: 2},
-}
-
-# stalk shift lists: (object, orbit) -> list of (shift, rank); total rank is
-# the sum of ranks.  Empty list means the stalk vanishes.
-GRADED_STALKS: dict[tuple[SimpleObject, OrbitClass], list[tuple[int, int]]] = {
-    (SimpleObject.IC1_C0, OrbitClass.C0): [(0, 1)],
-    (SimpleObject.IC1_C1, OrbitClass.C0): [(2, 1)],
-    (SimpleObject.IC1_C1, OrbitClass.C1): [(2, 1)],
-    (SimpleObject.IC1_C2, OrbitClass.C0): [(1, 1), (3, 1)],
-    (SimpleObject.IC1_C2, OrbitClass.C1): [(3, 1)],
-    (SimpleObject.IC1_C2, OrbitClass.C2): [(3, 1)],
-    (SimpleObject.IC1_C3, OrbitClass.C0): [(4, 1)],
-    (SimpleObject.IC1_C3, OrbitClass.C1): [(4, 1)],
-    (SimpleObject.IC1_C3, OrbitClass.C2): [(4, 1)],
-    (SimpleObject.IC1_C3, OrbitClass.C3): [(4, 1)],
-    (SimpleObject.ICR_C3, OrbitClass.C0): [(2, 1)],
-    (SimpleObject.ICR_C3, OrbitClass.C2): [(4, 1)],
-    (SimpleObject.ICR_C3, OrbitClass.C3): [(4, 2)],
-    (SimpleObject.ICE_C3, OrbitClass.C3): [(4, 1)],
-}
-
-# representation-theoretic multiplicity matrix: rows are standard modules
-# (M0, M1, M2, M3, M3rho, M3eps), columns the irreducibles in LLC order.
-REP_MULTIPLICITY = [
-    [1, 1, 2, 1, 1, 0],
-    [0, 1, 1, 1, 0, 0],
-    [0, 0, 1, 1, 1, 0],
-    [0, 0, 0, 1, 0, 0],
-    [0, 0, 0, 0, 1, 0],
-    [0, 0, 0, 0, 0, 1],
-]
-
-# microlocal vanishing-cycle tables: object -> {stratum: label}; strata with
-# no entry are zero
-EVS_TABLE: dict[SimpleObject, dict[int, str]] = {
-    SimpleObject.IC1_C0: {0: "one"},
-    SimpleObject.IC1_C1: {0: "R", 1: "T"},
-    SimpleObject.IC1_C2: {1: "one", 2: "T"},
-    SimpleObject.IC1_C3: {3: "one"},
-    SimpleObject.ICR_C3: {2: "one", 3: "R"},
-    SimpleObject.ICE_C3: {0: "E", 1: "T", 2: "one", 3: "E"},
-}
-
-NEVS_TABLE: dict[SimpleObject, dict[int, str]] = {
-    SimpleObject.IC1_C0: {0: "one"},
-    SimpleObject.IC1_C1: {0: "R", 1: "one"},
-    SimpleObject.IC1_C2: {1: "T", 2: "one"},
-    SimpleObject.IC1_C3: {3: "one"},
-    SimpleObject.ICR_C3: {2: "T", 3: "R"},
-    SimpleObject.ICE_C3: {0: "E", 1: "one", 2: "T", 3: "E"},
-}
-
 # the regular-cover push-forward on each conormal stratum (regular
 # representation of the microlocal group): stratum -> {label: multiplicity}
 REGULAR_COVER_DECOMP = {
@@ -167,17 +84,6 @@ REGULAR_COVER_DECOMP = {
     1: {"one": 1, "T": 1},
     2: {"one": 1, "T": 1},
     3: {"one": 1, "R": 2, "E": 1},
-}
-
-# Fourier transform on the dual side: object -> (dual orbit index i of Ci*,
-# local-system label on that dual orbit)
-FOURIER_DUAL: dict[SimpleObject, tuple[int, str]] = {
-    SimpleObject.IC1_C0: (0, "triv"),
-    SimpleObject.IC1_C1: (0, "refl"),
-    SimpleObject.IC1_C2: (1, "triv"),
-    SimpleObject.IC1_C3: (3, "triv"),
-    SimpleObject.ICR_C3: (2, "triv"),
-    SimpleObject.ICE_C3: (0, "sign"),
 }
 
 
@@ -203,16 +109,94 @@ class SheafTables:
 
 
 def default_tables() -> SheafTables:
-    # fresh copies throughout, so corruption harnesses cannot touch the
-    # canonical data
+    """Fresh writable copies of the shipped tables, for harnesses that
+    corrupt them; every consumer reads the read-only `TABLES` built from it."""
     return SheafTables(
-        evs={k: dict(v) for k, v in EVS_TABLE.items()},
-        nevs={k: dict(v) for k, v in NEVS_TABLE.items()},
-        fiber_ranks={k: dict(v) for k, v in FIBER_RANKS.items()},
-        decompositions={k: dict(v) for k, v in DECOMPOSITIONS.items()},
-        graded_stalks={k: list(v) for k, v in GRADED_STALKS.items()},
-        rep_multiplicity=tuple(tuple(row) for row in REP_MULTIPLICITY),
-        fourier_dual=dict(FOURIER_DUAL),
+        # push-forward decompositions; keys are (object, shift) with multiplicities
+        decompositions={
+            Cover.RHO1: {(SimpleObject.IC1_C0, 0): 1, (SimpleObject.IC1_C1, 0): 1},
+            Cover.RHO2: {(SimpleObject.IC1_C2, 0): 1},
+            Cover.RHO3: {(SimpleObject.IC1_C3, 0): 1, (SimpleObject.ICR_C3, 0): 1},
+            Cover.RHO3PP: {
+                (SimpleObject.IC1_C3, 0): 1,
+                (SimpleObject.ICR_C3, 0): 2,
+                (SimpleObject.ICE_C3, 0): 1,
+                (SimpleObject.IC1_C0, 0): 3,
+                (SimpleObject.IC1_C0, 2): 1,
+                (SimpleObject.IC1_C0, -2): 1,
+            },
+            Cover.RHOE: {
+                (SimpleObject.IC1_C3, 0): 1,
+                (SimpleObject.ICE_C3, 0): 1,
+                (SimpleObject.IC1_C1, 0): 2,
+                (SimpleObject.IC1_C0, 0): 1,
+            },
+        },
+        # total cohomology ranks of cover fibers, per orbit (C0, C1, C2, C3).
+        # The rhoE row is derived from its decomposition; the others are encoded.
+        fiber_ranks={
+            Cover.RHO1: {OrbitClass.C0: 2, OrbitClass.C1: 1, OrbitClass.C2: 0, OrbitClass.C3: 0},
+            Cover.RHO2: {OrbitClass.C0: 2, OrbitClass.C1: 1, OrbitClass.C2: 1, OrbitClass.C3: 0},
+            Cover.RHO3: {OrbitClass.C0: 2, OrbitClass.C1: 1, OrbitClass.C2: 2, OrbitClass.C3: 3},
+            Cover.RHO3PP: {OrbitClass.C0: 8, OrbitClass.C1: 1, OrbitClass.C2: 3, OrbitClass.C3: 6},
+            Cover.RHOE: {OrbitClass.C0: 4, OrbitClass.C1: 3, OrbitClass.C2: 1, OrbitClass.C3: 2},
+        },
+        # stalk shift lists: (object, orbit) -> list of (shift, rank); total rank is
+        # the sum of ranks.  Empty list means the stalk vanishes.
+        graded_stalks={
+            (SimpleObject.IC1_C0, OrbitClass.C0): [(0, 1)],
+            (SimpleObject.IC1_C1, OrbitClass.C0): [(2, 1)],
+            (SimpleObject.IC1_C1, OrbitClass.C1): [(2, 1)],
+            (SimpleObject.IC1_C2, OrbitClass.C0): [(1, 1), (3, 1)],
+            (SimpleObject.IC1_C2, OrbitClass.C1): [(3, 1)],
+            (SimpleObject.IC1_C2, OrbitClass.C2): [(3, 1)],
+            (SimpleObject.IC1_C3, OrbitClass.C0): [(4, 1)],
+            (SimpleObject.IC1_C3, OrbitClass.C1): [(4, 1)],
+            (SimpleObject.IC1_C3, OrbitClass.C2): [(4, 1)],
+            (SimpleObject.IC1_C3, OrbitClass.C3): [(4, 1)],
+            (SimpleObject.ICR_C3, OrbitClass.C0): [(2, 1)],
+            (SimpleObject.ICR_C3, OrbitClass.C2): [(4, 1)],
+            (SimpleObject.ICR_C3, OrbitClass.C3): [(4, 2)],
+            (SimpleObject.ICE_C3, OrbitClass.C3): [(4, 1)],
+        },
+        # representation-theoretic multiplicity matrix: rows are standard modules
+        # (M0, M1, M2, M3, M3rho, M3eps), columns the irreducibles in LLC order.
+        rep_multiplicity=(
+            (1, 1, 2, 1, 1, 0),
+            (0, 1, 1, 1, 0, 0),
+            (0, 0, 1, 1, 1, 0),
+            (0, 0, 0, 1, 0, 0),
+            (0, 0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 0, 1),
+        ),
+        # microlocal vanishing-cycle tables: object -> {stratum: label}; strata with
+        # no entry are zero
+        evs={
+            SimpleObject.IC1_C0: {0: "one"},
+            SimpleObject.IC1_C1: {0: "R", 1: "T"},
+            SimpleObject.IC1_C2: {1: "one", 2: "T"},
+            SimpleObject.IC1_C3: {3: "one"},
+            SimpleObject.ICR_C3: {2: "one", 3: "R"},
+            SimpleObject.ICE_C3: {0: "E", 1: "T", 2: "one", 3: "E"},
+        },
+        nevs={
+            SimpleObject.IC1_C0: {0: "one"},
+            SimpleObject.IC1_C1: {0: "R", 1: "one"},
+            SimpleObject.IC1_C2: {1: "T", 2: "one"},
+            SimpleObject.IC1_C3: {3: "one"},
+            SimpleObject.ICR_C3: {2: "T", 3: "R"},
+            SimpleObject.ICE_C3: {0: "E", 1: "one", 2: "T", 3: "E"},
+        },
+        # Fourier transform on the dual side: object -> (dual orbit index i of Ci*,
+        # local-system label on that dual orbit)
+        fourier_dual={
+            SimpleObject.IC1_C0: (0, "triv"),
+            SimpleObject.IC1_C1: (0, "refl"),
+            SimpleObject.IC1_C2: (1, "triv"),
+            SimpleObject.IC1_C3: (3, "triv"),
+            SimpleObject.ICR_C3: (2, "triv"),
+            SimpleObject.ICE_C3: (0, "sign"),
+        },
     )
 
 
@@ -228,15 +212,7 @@ def _read_only(value):
 
 # the shipped tables, shared by every consumer in the process, so no caller
 # can write them; harnesses that corrupt tables start from default_tables()
-TABLES = SheafTables(
-    evs=_read_only(EVS_TABLE),
-    nevs=_read_only(NEVS_TABLE),
-    fiber_ranks=_read_only(FIBER_RANKS),
-    decompositions=_read_only(DECOMPOSITIONS),
-    graded_stalks=_read_only(GRADED_STALKS),
-    rep_multiplicity=_read_only(REP_MULTIPLICITY),
-    fourier_dual=_read_only(FOURIER_DUAL),
-)
+TABLES = SheafTables(*map(_read_only, astuple(default_tables())))
 
 
 # -- fiber ranks ---------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Fraction references that the integer kernels of `g2cubics` are compared
 with: division by a linear form (`divides`, `rational_lines`), the twisted
-coefficients of a plain-basis cubic (`_twisted`), and polynomials in q with
-one Fraction per coefficient (`linalg.Poly`).
+coefficients of a plain-basis cubic (`_twisted`), the product of coefficient
+lists (`int_poly_mul`; tests also build their line products with it), and
+polynomials in q with one Fraction per coefficient (`linalg.Poly`).
 """
 
 from fractions import Fraction

@@ -423,15 +423,30 @@ print(counts)
 """
 
 
-def test_import_builds_no_parser_and_main_builds_one_once():
+def _fresh_python(*args) -> str:
+    """Stdout of `python -c ...` in a fresh interpreter that imports from src/."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _COUNT_PARSERS], env=env, capture_output=True, text=True, check=True
-    )
-    at_import, after_first, after_second = json.loads(proc.stdout)
+    return subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_builds_no_parser_and_main_builds_one_once():
+    at_import, after_first, after_second = json.loads(_fresh_python(_COUNT_PARSERS))
     assert at_import == 0
     assert after_first > 0
     assert after_second == after_first
+
+
+_LOADED_FRONT_ENDS = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps([m for m in ("g2cubics.verify", "g2cubics.cli") if m in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("module", ["linalg", "cubics", "conormal", "sheaves", "packets", "rootdata"])
+def test_importing_a_library_module_loads_neither_verify_nor_cli(module):
+    # the package facade imports nothing, so a module loads only its own imports
+    assert json.loads(_fresh_python(_LOADED_FRONT_ENDS, f"g2cubics.{module}")) == []
 
 
 def test_interrupted_parser_build_is_not_cached(monkeypatch, capsys):

@@ -39,9 +39,9 @@ from g2cubics.cubics import (
     divides,
     rational_lines,
 )
-from g2cubics.linalg import Matrix, kernel_basis, poly_mul
+from g2cubics.linalg import Matrix, kernel_basis
 
-from fraction_reference import from_plain
+from fraction_reference import from_plain, poly_mul
 
 XY_X_PLUS_Y = (0, Fraction(-1, 3), Fraction(-1, 3), 0)
 

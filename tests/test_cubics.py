@@ -30,7 +30,7 @@ from g2cubics.cubics import (
 )
 from g2cubics.linalg import Matrix, common_denominator, int_poly_mul
 
-from fraction_reference import divide_by_form, from_plain
+from fraction_reference import divide_by_form, from_plain, poly_mul as fraction_poly_mul
 
 
 def rng_cubic(rng, span=4):
@@ -100,15 +100,6 @@ def test_act_matrix_is_multiplicative():
     for _ in range(20):
         h1, h2 = rng_element(rng), rng_element(rng)
         assert act_matrix(h1 * h2) == act_matrix(h1) @ act_matrix(h2)
-
-
-def fraction_poly_mul(p, q):
-    """Plain-basis product over Fractions, as a reference."""
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def fraction_substitute(plain, h):

@@ -47,7 +47,6 @@ from g2cubics.linalg import (
     eval_q,
     format_rational,
     int_poly_gcd,
-    poly_mul,
 )
 
 from fraction_reference import FractionPoly, divide_by_form, from_plain
@@ -361,12 +360,6 @@ def test_line_products_reach_every_orbit():
 
     record()
     assert seen == set(OrbitClass)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(fractions(), min_size=1, max_size=5), st.lists(fractions(), min_size=1, max_size=5))
-def test_poly_mul_matches_fraction_reference(p, q):
-    assert poly_mul(p, q) == fraction_poly_mul(p, q)
 
 
 # -- conormal -------------------------------------------------------------------

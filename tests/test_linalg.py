@@ -29,7 +29,7 @@ def test_kernel_of_identity_is_trivial():
 
 
 def test_kernel_of_zero_map_is_standard_basis():
-    basis = kernel_basis(Matrix.zero(2, 4))
+    basis = kernel_basis(Matrix(2, 4, [0] * 8))
     assert len(basis) == 4
     for j, v in enumerate(basis):
         assert v == [Fraction(int(i == j)) for i in range(4)]
@@ -222,6 +222,14 @@ def test_rational_function_json_is_lowest_degree_first():
     one = Poly.const(1)
     f = RationalFunctionQ(q**2 - one, Poly.const(2))
     assert f.to_json() == {"num": ["-1/2", "0", "1/2"], "den": ["1"]}
+
+
+def test_negative_power_raises_on_poly_and_inverts_a_rational_function():
+    q = Poly.q()
+    for base in (q, Poly()):
+        with pytest.raises(ValueError, match="negative Poly exponent -1"):
+            base**-1
+    assert RationalFunctionQ.q() ** -2 == RationalFunctionQ(Poly.const(1), q**2)
 
 
 @st.composite

@@ -28,9 +28,7 @@ from g2cubics.cubics import (
     rational_lines,
     to_plain,
 )
-from g2cubics.linalg import poly_mul
-
-from fraction_reference import divide_by_form, from_plain
+from fraction_reference import divide_by_form, from_plain, poly_mul
 
 # -- the divisor-enumeration reference ----------------------------------------
 
