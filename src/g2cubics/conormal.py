@@ -8,10 +8,11 @@ explicit element moving the base lines onto the lines of r, and every
 generator is verified to fix its input.  Strata 0 and 1 are mirrors of
 strata 3 and 2: the moment map of the swapped pair (s, r) is the transpose
 of that of (r, s), and h |-> t(h^{-1}) carries the mirror's stabilizer onto
-the point's.  Dimensions are the strata's constants; `verify` checks them
-against the kernel of the infinitesimal action.  The conormal fibre over a
-cubic is likewise stated, not solved: a closed form in its repeated line,
-which `verify` checks against the exact elimination of the moment matrix.
+the point's.  Dimensions are the strata's constants, and the conormal fibre
+over a cubic is a closed form in its repeated line: nothing here solves a
+linear system.  The eliminations that re-derive both, the kernel of the
+infinitesimal action and that of the moment matrix, are `verify`'s oracles
+and live there.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ from .cubics import (
     DualCubic,
     GroupElement,
     OrbitClass,
+    REPRESENTATIVES,
     _repeated_line,
     _substitute,
     _twisted,
     classify,
-    poly_dx,
-    poly_dy,
     rational_lines,
     to_plain,
 )
-from .linalg import Matrix, common_denominator, int_poly_mul, kernel_basis, rational
+from .linalg import Matrix, common_denominator, int_poly_mul, rational
 
 
 class IrrationalSplitting(ValueError):
@@ -56,9 +56,6 @@ class ComponentGroup(enum.Enum):
 class ConormalPoint:
     r: BinaryCubic
     s: DualCubic
-
-    def to_json(self) -> dict:
-        return {"r": self.r.to_json(), "s": self.s.to_json()}
 
 
 @dataclass
@@ -137,13 +134,6 @@ def moment(r: BinaryCubic, s: DualCubic) -> Matrix:
     return Matrix(2, 2, [Fraction(e, den) for e in entries])
 
 
-def moment_matrix_of(r: BinaryCubic) -> Matrix:
-    """Matrix of the linear map s |-> entries of [r, s] (4 rows, 4 cols):
-    column j is `moment` at the j-th unit dual cubic."""
-    columns = [moment(r, s) for s in _unit_duals(4)]
-    return Matrix(4, 4, [m[k // 2, k % 2] for k in range(4) for m in columns])
-
-
 def _unit_duals(n: int) -> list[DualCubic]:
     """The first n of the four unit dual cubics (1, 0, 0, 0) .. (0, 0, 0, 1)."""
     return [DualCubic(*(int(i == j) for i in range(4))) for j in range(n)]
@@ -192,47 +182,13 @@ def in_lambda_regular(p: ConormalPoint) -> int | None:
 
 # canonical regular base points, one per stratum, all rational-split
 def canonical_regular_pairs() -> dict[int, ConormalPoint]:
-    xy_x_plus_y = (0, Fraction(-1, 3), Fraction(-1, 3), 0)
+    xy_x_plus_y = REPRESENTATIVES[OrbitClass.C3].coeffs
     return {
         0: ConormalPoint(BinaryCubic(0, 0, 0, 0), DualCubic(*xy_x_plus_y)),
         1: ConormalPoint(BinaryCubic(1, 0, 0, 0), DualCubic(0, 0, Fraction(-1, 3), 0)),
         2: ConormalPoint(BinaryCubic(0, 1, 0, 0), DualCubic(0, 0, 0, 1)),
         3: ConormalPoint(BinaryCubic(*xy_x_plus_y), DualCubic(0, 0, 0, 0)),
     }
-
-
-# -- infinitesimal action and stabilizer dimensions ---------------------------
-
-_GL2_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (row, col) of the four E_ij
-
-
-def _lie_act_primal(ij, r: BinaryCubic | DualCubic) -> list[int]:
-    """d/dt act(exp(t E_ij), r) at t = 0, as a plain-basis cubic, times r's
-    common denominator (one nonzero scale per cubic, so no kernel moves)."""
-    i, j = ij
-    plain = to_plain(r.integers()[0])
-    rx, ry = poly_dx(plain), poly_dy(plain)
-    # (x X11 + y X21) r_x + (x X12 + y X22) r_y - tr(X) r
-    cx = [int(i == 1 and j == 0), int(i == 0 and j == 0)]  # x coeff of X row
-    cy = [int(i == 1 and j == 1), int(i == 0 and j == 1)]
-    out = [a + b for a, b in zip(int_poly_mul(cx, rx), int_poly_mul(cy, ry))]
-    return [a - b for a, b in zip(out, plain)] if i == j else out
-
-
-def stabilizer_dimension(r: BinaryCubic, s: DualCubic | None = None) -> int:
-    """Dimension of the stabilizer of r (and s) via the infinitesimal action.
-
-    act_dual(h) = act(t(h^{-1})), so E_ij acts on s as -E_ji acts on r.
-    """
-    rows = []
-    for i, j in _GL2_BASIS:
-        row = _lie_act_primal((i, j), r)
-        if s is not None:
-            row += [-c for c in _lie_act_primal((j, i), s)]
-        rows.append(row)
-    # rows index gl2 basis vectors; stabilizer = kernel of the transposed map
-    m = Matrix.from_rows(rows).transpose()
-    return len(kernel_basis(m))
 
 
 # -- finite stabilizers -------------------------------------------------------

@@ -42,17 +42,6 @@ def to_plain(coeffs) -> list:
     return [r0, -3 * r1, -3 * r2, -r3]
 
 
-def poly_dx(p: list) -> list:
-    """d/dx of a homogeneous polynomial in the plain basis (ints stay ints)."""
-    return [p[i] * i for i in range(1, len(p))]
-
-
-def poly_dy(p: list) -> list:
-    """d/dy of a homogeneous polynomial in the plain basis (ints stay ints)."""
-    d = len(p) - 1
-    return [p[i] * (d - i) for i in range(d)]
-
-
 # -- domain types -------------------------------------------------------------
 
 
@@ -141,7 +130,7 @@ class _CoeffVector:
         return type(other) is type(self) and self.integers() == other.integers()
 
     def __hash__(self):
-        return hash((type(self).__name__, self.coeffs))
+        return hash((type(self).__name__, self.integers()))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(format_rational(c) for c in self.coeffs)})"
@@ -268,18 +257,11 @@ class Line:
         return [format_rational(self.u1), format_rational(self.u2)]
 
 
-# canonical orbit representatives; xy(x+y) is the rational-split C3 element
+# canonical orbit representatives, each split into rational lines
 REPRESENTATIVES = {
     OrbitClass.C0: BinaryCubic(0, 0, 0, 0),
     OrbitClass.C1: BinaryCubic(1, 0, 0, 0),  # y^3
     OrbitClass.C2: BinaryCubic(0, 1, 0, 0),  # -3xy^2
-    OrbitClass.C3: BinaryCubic(1, 0, 1, 0),  # y(y^2 - 3x^2)
-}
-
-RATIONAL_SPLIT_REPRESENTATIVES = {
-    OrbitClass.C0: BinaryCubic(0, 0, 0, 0),
-    OrbitClass.C1: BinaryCubic(1, 0, 0, 0),
-    OrbitClass.C2: BinaryCubic(0, 1, 0, 0),
     OrbitClass.C3: BinaryCubic(0, Fraction(-1, 3), Fraction(-1, 3), 0),  # xy(x+y)
 }
 

@@ -8,7 +8,10 @@ Matrices are small (the largest is the 21x18 stalk system) so
 Gauss-Jordan elimination with exact pivoting is all we need.  Elimination
 skips zeros: it updates only the rows with a nonzero entry in the pivot
 column, and in them only the pivot row's nonzero columns, so the sparse
-stalk system costs a fraction of a dense elimination.
+stalk system costs a fraction of a dense elimination.  `solve` and `rank`
+serve the stalk system and the standard-module expansion; `kernel_basis`
+shares their elimination but only `verify`'s oracles call it.  No inverse
+is needed anywhere: an invertibility test is `rank(m) == m.rows`.
 """
 
 from __future__ import annotations
@@ -18,10 +21,6 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-
-class SingularMatrix(ValueError):
-    """Raised when inverting a matrix with zero determinant."""
 
 
 class PoleAtPoint(ZeroDivisionError):
@@ -261,18 +260,6 @@ def kernel_basis(m: Matrix) -> list[list[Fraction]]:
             v[pc] = -rref[r][fc]
         basis.append(v)
     return basis
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan; raises SingularMatrix when det = 0."""
-    if m.rows != m.cols:
-        raise SingularMatrix("only square matrices are invertible")
-    n = m.rows
-    aug = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rref, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    return Matrix.from_rows([row[n:] for row in rref[:n]])
 
 
 def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:

@@ -39,14 +39,6 @@ class Irreducible(enum.Enum):
     def tempered(self) -> bool:
         return self in (Irreducible.PI3, Irreducible.PI3R, Irreducible.PI3E)
 
-    @property
-    def spherical(self) -> bool:
-        return self is Irreducible.PI0
-
-    @property
-    def supercuspidal(self) -> bool:
-        return self is Irreducible.PI3E
-
     def label(self) -> str:
         return ["pi0", "pi1", "pi2", "pi3", "pi3rho", "pi3eps"][self.value]
 
@@ -126,9 +118,6 @@ def pairing_character(psi: int, pi: Irreducible, derived: Derived) -> str | None
 class VirtualCharacter:
     basis: str  # "irreducible" or "standard"
     coefficients: tuple
-
-    def to_json(self) -> dict:
-        return {"basis": self.basis, "coefficients": list(self.coefficients)}
 
 
 def stable_virtual_character(psi: int, derived: Derived) -> VirtualCharacter:

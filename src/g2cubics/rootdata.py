@@ -34,17 +34,6 @@ class Root:
     def __neg__(self) -> "Root":
         return Root(-self.a, -self.b, self.side)
 
-    def label(self) -> str:
-        def term(c, sym):
-            if c == 0:
-                return ""
-            if c == 1:
-                return sym
-            return f"{c}{sym}"
-
-        parts = [p for p in (term(self.a, "a"), term(self.b, "b")) if p]
-        return "+".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True)
 class TorusExponentPair:

@@ -19,7 +19,7 @@ from math import factorial, prod
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .cubics import OrbitClass, RATIONAL_SPLIT_REPRESENTATIVES, rational_lines
+from .cubics import OrbitClass, REPRESENTATIVES, rational_lines
 from .conormal import dual_orbit_class
 from .linalg import Matrix, rank, solve
 
@@ -222,7 +222,7 @@ def _line_census(orbit: OrbitClass) -> tuple[int, int]:
     """(distinct lines, ordered line factorizations 3! / prod m!) of a split representative."""
     if orbit is OrbitClass.C0:
         raise ValueError("the zero cubic has no line census")
-    lines, residual = rational_lines(RATIONAL_SPLIT_REPRESENTATIVES[orbit])
+    lines, residual = rational_lines(REPRESENTATIVES[orbit])
     assert residual == 0
     return len(lines), factorial(3) // prod(factorial(m) for _, m in lines)
 

@@ -6,7 +6,9 @@ early).  A check that reads the sheaf tables declares a `derived` parameter
 and is handed the `packets.Derived` of the table set under test.
 Randomized checks draw from a seeded generator, so runs are reproducible;
 the acceptance tests reuse the random generators and the repeated-root
-oracle below.
+oracle below.  The oracles that only the checks use live here too: the
+homogeneous gcd, the derivatives it needs, and the exact eliminations of the
+infinitesimal action and of the moment matrix.  No command calls them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .cubics import (
     Line,
     OrbitClass,
     REPRESENTATIVES,
-    RATIONAL_SPLIT_REPRESENTATIVES,
     act,
     act_dual,
     act_matrix,
@@ -33,11 +34,9 @@ from .cubics import (
     divides,
     evaluate,
     hessian_quadratic,
-    poly_dx,
-    poly_dy,
     to_plain,
 )
-from .linalg import Matrix, eval_q, int_poly_gcd, int_poly_mul, invert, kernel_basis, rank
+from .linalg import Matrix, eval_q, int_poly_gcd, int_poly_mul, kernel_basis, rank
 from .packets import Derived
 
 
@@ -84,6 +83,20 @@ def _random_group_element(rng: random.Random) -> GroupElement:
             return h
 
 
+# --- oracles ------------------------------------------------------------------
+
+
+def _poly_dx(p: list) -> list:
+    """d/dx of a homogeneous polynomial in the plain basis (ints stay ints)."""
+    return [p[i] * i for i in range(1, len(p))]
+
+
+def _poly_dy(p: list) -> list:
+    """d/dy of a homogeneous polynomial in the plain basis (ints stay ints)."""
+    d = len(p) - 1
+    return [p[i] * (d - i) for i in range(d)]
+
+
 def _gcd_poly(p: list[int], q: list[int]) -> list[int]:
     """Homogeneous gcd of two integer plain-basis polynomials, up to a
     constant factor."""
@@ -115,8 +128,51 @@ def _has_repeated_root(r: BinaryCubic) -> bool:
     p = to_plain(r.integers()[0])
     if not any(p):
         return True
-    g = _gcd_poly(_gcd_poly(p, poly_dx(p)), poly_dy(p))
+    g = _gcd_poly(_gcd_poly(p, _poly_dx(p)), _poly_dy(p))
     return len(g) - 1 > 0
+
+
+# the four unit dual cubics (1, 0, 0, 0) .. (0, 0, 0, 1)
+_UNIT_DUALS = tuple(DualCubic(*(int(i == j) for i in range(4))) for j in range(4))
+
+
+def _moment_matrix_of(r: BinaryCubic) -> Matrix:
+    """Matrix of the linear map s |-> entries of [r, s] (4 rows, 4 cols):
+    column j is `moment` at the j-th unit dual cubic."""
+    columns = [conormal.moment(r, s) for s in _UNIT_DUALS]
+    return Matrix(4, 4, [m[k // 2, k % 2] for k in range(4) for m in columns])
+
+
+_GL2_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (row, col) of the four E_ij
+
+
+def _lie_act_primal(ij, r: BinaryCubic | DualCubic) -> list[int]:
+    """d/dt act(exp(t E_ij), r) at t = 0, as a plain-basis cubic, times r's
+    common denominator (one nonzero scale per cubic, so no kernel moves)."""
+    i, j = ij
+    plain = to_plain(r.integers()[0])
+    rx, ry = _poly_dx(plain), _poly_dy(plain)
+    # (x X11 + y X21) r_x + (x X12 + y X22) r_y - tr(X) r
+    cx = [int(i == 1 and j == 0), int(i == 0 and j == 0)]  # x coeff of X row
+    cy = [int(i == 1 and j == 1), int(i == 0 and j == 1)]
+    out = [a + b for a, b in zip(int_poly_mul(cx, rx), int_poly_mul(cy, ry))]
+    return [a - b for a, b in zip(out, plain)] if i == j else out
+
+
+def _stabilizer_dimension(r: BinaryCubic, s: DualCubic | None = None) -> int:
+    """Dimension of the stabilizer of r (and s) via the infinitesimal action.
+
+    act_dual(h) = act(t(h^{-1})), so E_ij acts on s as -E_ji acts on r.
+    """
+    rows = []
+    for i, j in _GL2_BASIS:
+        row = _lie_act_primal((i, j), r)
+        if s is not None:
+            row += [-c for c in _lie_act_primal((j, i), s)]
+        rows.append(row)
+    # rows index gl2 basis vectors; stabilizer = kernel of the transposed map
+    m = Matrix.from_rows(rows).transpose()
+    return len(kernel_basis(m))
 
 
 # --- geometry checks ----------------------------------------------------------
@@ -220,9 +276,9 @@ def check_hessian_quarter_determinant(trials: int = 200, seed: int = 107) -> str
         # Hessian determinant is den^2 times r's
         nums, den = r.integers()
         p = to_plain(nums)
-        px, py = poly_dx(p), poly_dy(p)
-        pyy, pyx = poly_dy(py), poly_dx(py)
-        pxx = poly_dx(px)
+        px, py = _poly_dx(p), _poly_dy(p)
+        pyy, pyx = _poly_dy(py), _poly_dx(py)
+        pxx = _poly_dx(px)
         det = [a - b for a, b in zip(int_poly_mul(pyy, pxx), int_poly_mul(pyx, pyx))]
         quarter = [Fraction(c, 4 * den * den) for c in det]
         d0, d1, d2 = hessian_quadratic(r)
@@ -288,13 +344,12 @@ def check_dual_action_matrix(trials: int = 50, seed: int = 112) -> str | None:
     transpose(A) G D = G, which needs no inverse.
     """
     rng = random.Random(seed)
-    basis = [DualCubic(*(int(i == j) for i in range(4))) for j in range(4)]
     gram = Matrix.from_rows(
         [[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]]
     )
     for k in range(trials):
         h = _random_group_element(rng)
-        cols = [list(act_dual(h, e).coeffs) for e in basis]
+        cols = [list(act_dual(h, e).coeffs) for e in _UNIT_DUALS]
         dual_matrix = Matrix.from_rows(cols).transpose()
         if act_matrix(h).transpose() @ gram @ dual_matrix != gram:
             return f"trial {k}: dual action matrix mismatch at {h!r}"
@@ -320,7 +375,7 @@ def check_conormal_kernel_dims() -> str | None:
     for g in _FRAMES:
         for orbit, rep in REPRESENTATIVES.items():
             r = act(g, rep)
-            solved = [DualCubic(*v) for v in kernel_basis(conormal.moment_matrix_of(r))]
+            solved = [DualCubic(*v) for v in kernel_basis(_moment_matrix_of(r))]
             got = len(solved)
             if got != expected[orbit]:
                 return f"{orbit} moved by {g!r}: kernel dim {got} != {expected[orbit]}"
@@ -372,9 +427,9 @@ def check_conormal_kernel_equivariance(trials: int = 100, seed: int = 113) -> st
 def check_stabilizer_orders() -> str | None:
     expected_dims = {OrbitClass.C0: 4, OrbitClass.C1: 2, OrbitClass.C2: 1, OrbitClass.C3: 0}
     expected_orders = {OrbitClass.C0: 1, OrbitClass.C1: 1, OrbitClass.C2: 1, OrbitClass.C3: 6}
-    for orbit, base in RATIONAL_SPLIT_REPRESENTATIVES.items():
+    for orbit, base in REPRESENTATIVES.items():
         # the dimension is constant on the orbit: solved once, on the representative
-        solved = conormal.stabilizer_dimension(base)
+        solved = _stabilizer_dimension(base)
         for g in _FRAMES:
             rep = act(g, base)
             desc = conormal.stabilizer_of_cubic(rep)
@@ -396,7 +451,7 @@ def check_microlocal_orders() -> str | None:
     groups = {0: "S3", 1: "S2", 2: "S2", 3: "S3"}
     for stratum, base in conormal.canonical_regular_pairs().items():
         # the dimension is constant on the stratum: solved once, on the canonical pair
-        solved = conormal.stabilizer_dimension(base.r, base.s)
+        solved = _stabilizer_dimension(base.r, base.s)
         for g in _FRAMES:
             point = conormal.ConormalPoint(act(g, base.r), act_dual(g, base.s))
             desc = conormal.microlocal_stabilizer(point)
@@ -566,15 +621,15 @@ def check_change_of_basis(derived: Derived) -> str | None:
 
 
 def check_change_of_basis_roundtrip(derived: Derived) -> str | None:
-    """Invert the change of basis and reproduce the Theta vectors."""
+    """The change of basis reproduces the Theta vectors from the standard
+    rows and is invertible."""
     m = derived.change_of_basis
-    minv = invert(m)
     basis_rows = derived.standard_rows
     for i, theta in enumerate(derived.stable):
         recovered = [sum(m[i, k] * basis_rows[k][j] for k in range(4)) for j in range(6)]
         if recovered != list(theta.coefficients):
             return "inverse does not round-trip the stable vectors"
-    if m @ minv != Matrix.identity(4):
+    if rank(m) != m.rows:
         return "inverse does not round-trip the stable vectors"
     return None
 

@@ -1,11 +1,14 @@
 """Fraction references that the integer kernels of `g2cubics` are compared
 with: division by a linear form (`divides`, `rational_lines`), the twisted
 coefficients of a plain-basis cubic (`_twisted`), the product of coefficient
-lists (`int_poly_mul`; tests also build their line products with it), and
-polynomials in q with one Fraction per coefficient (`linalg.Poly`).
+lists (`int_poly_mul`; tests also build their line products with it), the
+substitution of a 2x2 matrix into a form (`_substitute`), and polynomials in
+q with one Fraction per coefficient (`linalg.Poly`).
 """
 
 from fractions import Fraction
+
+from g2cubics.cubics import BinaryCubic
 
 
 def divide_by_form(p, u1, u2):
@@ -44,6 +47,29 @@ def poly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
+
+
+def fraction_substitute(plain, a, b, c, d):
+    """p((x, y) [[a, b], [c, d]]) expanded term by term over Fractions."""
+    deg = len(plain) - 1
+    out = [Fraction(0)] * (deg + 1)
+    for i, coeff in enumerate(plain):
+        term = [Fraction(1)]
+        for _ in range(deg - i):
+            term = poly_mul(term, [d, b])
+        for _ in range(i):
+            term = poly_mul(term, [c, a])
+        for k, t in enumerate(term):
+            out[k] += coeff * t
+    return out
+
+
+def line_cubic(*lines):
+    """The cubic prod(u1*y - u2*x) over the given lines [u1:u2]."""
+    p = [Fraction(1)]
+    for u1, u2 in lines:
+        p = poly_mul(p, [u1, -u2])
+    return BinaryCubic(*from_plain(p))
 
 
 class FractionPoly:

@@ -108,10 +108,10 @@ def test_criterion_4_moment_trace_and_pairing():
 
 
 def test_criterion_5_stabilizers():
-    from g2cubics.cubics import RATIONAL_SPLIT_REPRESENTATIVES
+    from g2cubics.cubics import REPRESENTATIVES
 
     orders = {OrbitClass.C0: 1, OrbitClass.C1: 1, OrbitClass.C2: 1, OrbitClass.C3: 6}
-    for orbit, rep in RATIONAL_SPLIT_REPRESENTATIVES.items():
+    for orbit, rep in REPRESENTATIVES.items():
         desc = conormal.stabilizer_of_cubic(rep)
         assert len(desc.group_elements()) == orders[orbit]
     micro = {0: 6, 1: 2, 2: 2, 3: 6}

@@ -1,13 +1,17 @@
+import contextlib
+import json
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from g2cubics import cli, conormal, linalg
+from g2cubics import cli, conormal, linalg, verify
 from g2cubics.conormal import (
     ComponentGroup,
     ConormalPoint,
@@ -20,10 +24,8 @@ from g2cubics.conormal import (
     in_lambda_regular,
     microlocal_stabilizer,
     moment,
-    moment_matrix_of,
     pairing,
     pairing_factored,
-    stabilizer_dimension,
     stabilizer_of_cubic,
 )
 from g2cubics.cubics import (
@@ -40,8 +42,9 @@ from g2cubics.cubics import (
     rational_lines,
 )
 from g2cubics.linalg import Matrix, kernel_basis
+from g2cubics.verify import _moment_matrix_of, _stabilizer_dimension
 
-from fraction_reference import from_plain, poly_mul
+from fraction_reference import line_cubic
 
 XY_X_PLUS_Y = (0, Fraction(-1, 3), Fraction(-1, 3), 0)
 
@@ -189,18 +192,18 @@ def test_canonical_pairs_land_in_their_strata():
 
 
 def test_stabilizer_dimensions_by_orbit():
-    assert stabilizer_dimension(BinaryCubic(0, 0, 0, 0)) == 4
-    assert stabilizer_dimension(BinaryCubic(1, 0, 0, 0)) == 2
-    assert stabilizer_dimension(BinaryCubic(0, 1, 0, 0)) == 1
-    assert stabilizer_dimension(BinaryCubic(*XY_X_PLUS_Y)) == 0
+    assert _stabilizer_dimension(BinaryCubic(0, 0, 0, 0)) == 4
+    assert _stabilizer_dimension(BinaryCubic(1, 0, 0, 0)) == 2
+    assert _stabilizer_dimension(BinaryCubic(0, 1, 0, 0)) == 1
+    assert _stabilizer_dimension(BinaryCubic(*XY_X_PLUS_Y)) == 0
 
 
 def test_stabilizer_dimension_of_dual_cubics():
     # the dual infinitesimal action alone (r = 0), then paired with r
     duals = [DualCubic(*r.coeffs) for r in REPRESENTATIVES.values()]
-    assert [stabilizer_dimension(BinaryCubic(0, 0, 0, 0), s) for s in duals] == [4, 2, 1, 0]
+    assert [_stabilizer_dimension(BinaryCubic(0, 0, 0, 0), s) for s in duals] == [4, 2, 1, 0]
     pairs = zip(REPRESENTATIVES.values(), duals)
-    assert [stabilizer_dimension(r, s) for r, s in pairs] == [4, 1, 1, 0]
+    assert [_stabilizer_dimension(r, s) for r, s in pairs] == [4, 1, 1, 0]
 
 
 def test_stabilizer_descriptions():
@@ -299,14 +302,6 @@ def reference_s3_generators(r):
     return out
 
 
-def line_product(*lines):
-    """The cubic whose lines are the given [u1:u2], a product of forms u1 y - u2 x."""
-    p = [1]
-    for u1, u2 in lines:
-        p = poly_mul(p, [u1, -u2])
-    return BinaryCubic(*from_plain(p))
-
-
 @st.composite
 def slopes(draw):
     """A line [1:t]: t an integer or a fraction of 1 to 1000 digits."""
@@ -317,7 +312,7 @@ def slopes(draw):
 
 
 three_line_cubics = st.builds(
-    lambda lines, scale: line_product(*lines).scale(scale),
+    lambda lines, scale: line_cubic(*lines).scale(scale),
     st.lists(
         st.one_of(st.just((0, 1)), st.just((1, 0)), slopes()),
         min_size=3,
@@ -332,7 +327,7 @@ three_line_cubics = st.builds(
 @given(three_line_cubics)
 @example(BinaryCubic(*XY_X_PLUS_Y))
 @example(BinaryCubic(0, Fraction(1, 3), Fraction(-1, 3), 0))  # y x (x - y), the base point
-@example(line_product((1, Fraction(10**999 + 7, 3**2000)), (1, 1 - 10**1000), (0, 1)))
+@example(line_cubic((1, Fraction(10**999 + 7, 3**2000)), (1, 1 - 10**1000), (0, 1)))
 def test_s3_generators_match_the_line_permutation_solve(r):
     got = stabilizer_of_cubic(r)
     assert (got.dimension, got.component_group) == (0, ComponentGroup.S3)
@@ -435,7 +430,7 @@ def test_the_mirror_swaps_strata_and_keeps_the_involutions(g, pair):
 def test_microlocal_dimension_is_the_solved_one_on_moved_pairs(g):
     for stratum, base in canonical_regular_pairs().items():
         p = ConormalPoint(act(g, base.r), act_dual(g, base.s))
-        assert stabilizer_dimension(p.r, p.s) == microlocal_stabilizer(p).dimension == 0
+        assert _stabilizer_dimension(p.r, p.s) == microlocal_stabilizer(p).dimension == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -446,17 +441,52 @@ def test_microlocal_dimension_is_the_solved_one_on_moved_pairs(g):
 def test_conormal_kernel_is_the_solved_one_on_moved_representatives(g):
     for rep in REPRESENTATIVES.values():
         r = act(g, rep)
-        solved = [DualCubic(*v) for v in kernel_basis(moment_matrix_of(r))]
+        solved = [DualCubic(*v) for v in kernel_basis(_moment_matrix_of(r))]
         assert conormal_kernel(r) == solved
 
 
+GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
+
+
+@contextlib.contextmanager
+def _kernel_basis_calls():
+    """Count the calls of `linalg.kernel_basis` through every g2cubics module
+    that holds it; the eliminations are `verify`'s oracles, so no command
+    path may call it."""
+    real = linalg.kernel_basis
+    counting = mock.Mock(wraps=real)
+    holders = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("g2cubics") and getattr(module, "kernel_basis", None) is real
+    ]
+    assert linalg in holders
+    with contextlib.ExitStack() as stack:
+        for module in holders:
+            stack.enter_context(mock.patch.object(module, "kernel_basis", counting))
+        yield counting
+
+
+def test_no_command_path_solves_a_linear_system(capsys):
+    # every command of the CLI snapshot but `verify`, and the microlocal
+    # stabilizers of the canonical pairs moved by verify's frames
+    commands = [argv for argv in map(str.split, json.loads(GOLDEN_CLI.read_text())) if "verify" not in argv]
+    named = {word for argv in commands for word in argv if word in cli.COMMANDS}
+    assert named == set(cli.COMMANDS) - {"verify"}
+    with _kernel_basis_calls() as counting:
+        for argv in commands:
+            cli.main(argv)
+        for g in verify._FRAMES:
+            for base in canonical_regular_pairs().values():
+                point = ConormalPoint(act(g, base.r), act_dual(g, base.s))
+                assert microlocal_stabilizer(point).dimension == 0
+    assert counting.call_count == 0
+
+
 def test_split_c3_stabilizer_solves_no_linear_system(capsys):
-    counting = mock.Mock(wraps=linalg.kernel_basis)
-    with mock.patch.object(linalg, "kernel_basis", counting), mock.patch.object(
-        conormal, "kernel_basis", counting
-    ):
+    with _kernel_basis_calls() as counting:
         assert cli.main(["stabilizer", "0", "-1/3", "-1/3", "0"]) == 0
-        r = line_product((1, Fraction(2, 3)), (1, -5), (0, 1))
+        r = line_cubic((1, Fraction(2, 3)), (1, -5), (0, 1))
         assert len(stabilizer_of_cubic(r).generators) == 6
         assert cli.main(["kernel", *map(str, r.coeffs)]) == 0
         for point in canonical_regular_pairs().values():
@@ -478,10 +508,7 @@ def test_split_c3_stabilizer_solves_no_linear_system(capsys):
     ids=["C1", "C1-moved", "C1-line-0-1", "C2", "C2-moved", "C2-line-0-1"],
 )
 def test_c1_and_c2_kernels_solve_no_linear_system(capsys, coeffs, dimension):
-    counting = mock.Mock(wraps=linalg.kernel_basis)
-    with mock.patch.object(linalg, "kernel_basis", counting), mock.patch.object(
-        conormal, "kernel_basis", counting
-    ):
+    with _kernel_basis_calls() as counting:
         assert cli.main(["kernel", *coeffs]) == 0
     assert counting.call_count == 0
     assert f"kernel dimension {dimension}" in capsys.readouterr().out

@@ -28,9 +28,9 @@ from g2cubics.cubics import (
     rational_lines,
     to_plain,
 )
-from g2cubics.linalg import Matrix, common_denominator, int_poly_mul
+from g2cubics.linalg import Matrix, common_denominator
 
-from fraction_reference import divide_by_form, from_plain, poly_mul as fraction_poly_mul
+from fraction_reference import divide_by_form, fraction_substitute, line_cubic
 
 
 def rng_cubic(rng, span=4):
@@ -102,22 +102,6 @@ def test_act_matrix_is_multiplicative():
         assert act_matrix(h1 * h2) == act_matrix(h1) @ act_matrix(h2)
 
 
-def fraction_substitute(plain, h):
-    """p((x, y) h) expanded term by term over Fractions, as a reference."""
-    xs, ys = [h.c, h.a], [h.d, h.b]  # images of x and y, (y-coeff, x-coeff)
-    d = len(plain) - 1
-    out = [Fraction(0)] * (d + 1)
-    for i, coeff in enumerate(plain):
-        term = [Fraction(1)]
-        for _ in range(d - i):
-            term = fraction_poly_mul(term, ys)
-        for _ in range(i):
-            term = fraction_poly_mul(term, xs)
-        for k, t in enumerate(term):
-            out[k] += coeff * t
-    return out
-
-
 def test_integer_substitution_matches_fraction_expansion():
     rng = random.Random(9)
 
@@ -135,7 +119,7 @@ def test_integer_substitution_matches_fraction_expansion():
         nums, pden = common_denominator(plain)
         a, b, c, d, hden, _ = h.integer_entries()
         got = [Fraction(v, pden * hden**3) for v in _substitute(nums, a, b, c, d)]
-        assert got == fraction_substitute(plain, h)
+        assert got == fraction_substitute(plain, h.a, h.b, h.c, h.d)
 
 
 def test_act_dual_identity_and_scalars():
@@ -183,14 +167,6 @@ def _exact_orbit(r):
     return OrbitClass.C2 if discriminant(r) == 0 else OrbitClass.C3
 
 
-def _line_cubic(*lines):
-    """The cubic prod(u1*y - u2*x) over the given integer lines (u1, u2)."""
-    p = [1]
-    for u1, u2 in lines:
-        p = int_poly_mul(p, [u1, -u2])
-    return BinaryCubic(*from_plain(p))
-
-
 def _big_line(rng):
     return rng.randint(10**333, 10**334), rng.choice([-1, 1]) * rng.randint(10**333, 10**334)
 
@@ -205,9 +181,9 @@ def _fallback_cubics():
         cases += [(r, OrbitClass.C3), (act(g, r), OrbitClass.C3)]
     for _ in range(3):  # line products at 1000 digits
         u, v = _big_line(rng), _big_line(rng)
-        cases += [(_line_cubic(u, u, u), OrbitClass.C1), (_line_cubic(u, u, v), OrbitClass.C2)]
-    cases += [(_line_cubic((0, 1), (0, 1), _big_line(rng)), OrbitClass.C2),
-              (_line_cubic((0, 1), (0, 1), (0, 1)), OrbitClass.C1)]
+        cases += [(line_cubic(u, u, u), OrbitClass.C1), (line_cubic(u, u, v), OrbitClass.C2)]
+    cases += [(line_cubic((0, 1), (0, 1), _big_line(rng)), OrbitClass.C2),
+              (line_cubic((0, 1), (0, 1), (0, 1)), OrbitClass.C1)]
     return cases
 
 
@@ -223,7 +199,7 @@ def test_classify_agrees_with_the_exact_invariants_at_1000_digits():
     for _ in range(20):
         r = BinaryCubic(*(Fraction(rng.randint(-10**1000, 10**1000), rng.randint(1, 10**20)) for _ in range(4)))
         u, v, w = (_big_line(rng) for _ in range(3))
-        for cubic in (r, _line_cubic(u, v, w)):
+        for cubic in (r, line_cubic(u, v, w)):
             assert discriminant(cubic).numerator % _P != 0
             assert classify(cubic) is OrbitClass.C3 is _exact_orbit(cubic)
 
@@ -382,3 +358,15 @@ def test_action_results_are_in_the_unique_integer_form(entries, r, s):
         assert out == rebuilt and rebuilt == out
         assert hash(out) == hash(rebuilt)
         assert out.to_json() == rebuilt.to_json()
+
+
+def test_hash_reads_the_integer_form_and_builds_no_fraction():
+    v = BinaryCubic._from_integers((1, 2, 3, 4), 5)
+    assert v._coeffs is None
+    h = hash(v)
+    assert v._coeffs is None
+    # equal vectors hash alike, whichever form they were built from
+    assert h == hash(BinaryCubic(*(Fraction(n, 5) for n in (1, 2, 3, 4))))
+    g = GroupElement._from_integers((2, 0, 0, 2), 4)
+    assert len({g, GroupElement(Fraction(1, 2), 0, 0, Fraction(1, 2))}) == 1
+    assert g._coeffs is None

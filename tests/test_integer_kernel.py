@@ -49,7 +49,7 @@ from g2cubics.linalg import (
     int_poly_gcd,
 )
 
-from fraction_reference import FractionPoly, divide_by_form, from_plain
+from fraction_reference import FractionPoly, divide_by_form, fraction_substitute, from_plain
 from fraction_reference import poly_mul as fraction_poly_mul
 
 DIGITS = (1, 2, 20, 100, 1000)
@@ -103,21 +103,6 @@ def fraction_det(h):
 def fraction_require_invertible(h):
     if fraction_det(h) == 0:
         raise SingularGroupElement(f"{h} has determinant 0")
-
-
-def fraction_substitute(plain, a, b, c, d):
-    """p((x, y) [[a, b], [c, d]]) expanded term by term over Fractions."""
-    deg = len(plain) - 1
-    out = [Fraction(0)] * (deg + 1)
-    for i, coeff in enumerate(plain):
-        term = [Fraction(1)]
-        for _ in range(deg - i):
-            term = fraction_poly_mul(term, [d, b])
-        for _ in range(i):
-            term = fraction_poly_mul(term, [c, a])
-        for k, t in enumerate(term):
-            out[k] += coeff * t
-    return out
 
 
 def fraction_to_plain(coeffs):

@@ -13,10 +13,8 @@ from g2cubics.linalg import (
     Poly,
     PoleAtPoint,
     RationalFunctionQ,
-    SingularMatrix,
     eval_q,
     format_rational,
-    invert,
     kernel_basis,
     parse_rational,
     rank,
@@ -94,54 +92,6 @@ def test_kernel_vectors_are_annihilated():
         for v in kernel_basis(m):
             assert all(x == 0 for x in m.matvec(v))
         assert len(kernel_basis(m)) == m.cols - rank(m)
-
-
-def test_invert_identity_and_diagonal():
-    assert invert(Matrix.identity(3)) == Matrix.identity(3)
-    d = Matrix.from_rows([[2, 0], [0, 1]])
-    assert invert(d) == Matrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
-
-
-def _back_substitution_inverse(rows):
-    """Inverse of an upper unitriangular matrix by plain back-substitution."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            x[i] = inv[i][col] - sum(a[i][j] * x[j] for j in range(i + 1, n))
-        for i in range(n):
-            inv[i][col] = x[i]
-    return Matrix.from_rows(inv)
-
-
-def test_invert_change_of_basis_matrix():
-    rows = [[1, 1, -3, 1], [0, 1, -2, 1], [0, 0, 1, -1], [0, 0, 0, 1]]
-    m = Matrix.from_rows(rows)
-    inv = invert(m)
-    assert inv == _back_substitution_inverse(rows)
-    assert m @ inv == Matrix.identity(4)
-    assert inv @ m == Matrix.identity(4)
-
-
-def test_invert_is_two_sided_on_random_matrices():
-    rng = random.Random(13)
-    found = 0
-    while found < 25:
-        m = Matrix.from_rows([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
-        try:
-            inv = invert(m)
-        except SingularMatrix:
-            continue
-        found += 1
-        assert m @ inv == Matrix.identity(3)
-        assert inv @ m == Matrix.identity(3)
-
-
-def test_singular_matrix_raises():
-    with pytest.raises(SingularMatrix):
-        invert(Matrix.from_rows([[1, 2], [2, 4]]))
 
 
 def test_solve_consistent_and_inconsistent():
@@ -297,14 +247,7 @@ def _random_system(nrows, ncols, digits):
 
 
 def _results(m, b):
-    out = {"rank": rank(m), "solve": solve(m, b)}
-    n = min(m.rows, m.cols)
-    square = Matrix.from_rows([row[:n] for row in m.to_rows()[:n]])
-    try:
-        out["invert"] = invert(square)
-    except SingularMatrix:
-        out["invert"] = "singular"
-    return out
+    return {"rank": rank(m), "solve": solve(m, b)}
 
 
 @settings(max_examples=150)

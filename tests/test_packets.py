@@ -37,14 +37,11 @@ def test_llc_bijection():
 
 
 def test_flags():
-    assert Irreducible.PI0.spherical
-    assert not Irreducible.PI1.spherical
     assert {pi for pi in Irreducible if pi.tempered} == {
         Irreducible.PI3,
         Irreducible.PI3R,
         Irreducible.PI3E,
     }
-    assert Irreducible.PI3E.supercuspidal
 
 
 def test_packets_match_expected_table():

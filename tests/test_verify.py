@@ -62,21 +62,23 @@ def _negated_coordinate_0(basis):
 # `conormal_kernel` returns, with the exact elimination, so a drift on
 # either side fails them
 @pytest.mark.parametrize(
-    "name, tamper, failing",
+    "module, name, tamper, failing",
     [
-        ("microlocal_stabilizer", lambda fn: lambda p: dataclasses.replace(fn(p), dimension=1),
+        (conormal, "microlocal_stabilizer",
+         lambda fn: lambda p: dataclasses.replace(fn(p), dimension=1),
          {"microlocal-stabilizer-orders"}),
-        ("conormal_kernel", lambda fn: _kernel_on({OrbitClass.C2}, fn, lambda basis: []),
+        (conormal, "conormal_kernel", lambda fn: _kernel_on({OrbitClass.C2}, fn, lambda basis: []),
          {"conormal-kernel-dimensions"}),
-        ("conormal_kernel",
+        (conormal, "conormal_kernel",
          lambda fn: _kernel_on({OrbitClass.C2}, fn, lambda basis: [s.scale(2) for s in basis]),
          {"conormal-kernel-dimensions"}),
         # coordinate 0 is zero at the canonical points, where the repeated
         # line is [1:0], so only the checks on moved representatives see this one
-        ("conormal_kernel",
+        (conormal, "conormal_kernel",
          lambda fn: _kernel_on({OrbitClass.C1, OrbitClass.C2}, fn, _negated_coordinate_0),
          {"conormal-kernel-dimensions", "conormal-kernel-typing", "conormal-kernel-equivariance"}),
-        ("stabilizer_dimension", lambda fn: lambda *args: fn(*args) + 1,
+        # the oracle itself drifting fails the same checks
+        (verify, "_stabilizer_dimension", lambda fn: lambda *args: fn(*args) + 1,
          {"stabilizer-orders", "microlocal-stabilizer-orders"}),
     ],
     ids=[
@@ -87,8 +89,8 @@ def _negated_coordinate_0(basis):
         "solved-dimension",
     ],
 )
-def test_geometry_checks_catch_a_tampered_dimension(name, tamper, failing):
-    with mock.patch.object(conormal, name, tamper(getattr(conormal, name))):
+def test_geometry_checks_catch_a_tampered_dimension(module, name, tamper, failing):
+    with mock.patch.object(module, name, tamper(getattr(module, name))):
         results = verify.run_checks("geometry", DERIVED)
     assert {r.name for r in results if not r.passed} == failing
 
