@@ -2,8 +2,10 @@
 
 Every answer is exact; there is no floating point anywhere.  Matrix entries
 are `fractions.Fraction`s, cleared to integer numerators over one common
-denominator where a formula runs over Python ints.  Polynomials in q compute
-on that integer form alone and build Fraction coefficients only when read.
+denominator where a formula runs over Python ints.  Polynomials in q have
+integer coefficients, and a rational function in q is a lowest-terms ratio
+of two of them: the formal-degree data are such ratios, so q-arithmetic runs
+over Python ints and only `eval_q` builds a Fraction, its value.
 Matrices are small (the largest is the 21x18 stalk system) so
 Gauss-Jordan elimination with exact pivoting is all we need.  Elimination
 skips zeros: it updates only the rows with a nonzero entry in the pivot
@@ -19,6 +21,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -126,10 +129,6 @@ class Matrix:
                 raise ValueError("ragged rows")
             flat.extend(row)
         return cls(nrows, ncols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
@@ -282,9 +281,8 @@ def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in one formal variable q and their ratios, kept in integer form:
-# integer numerators over one positive denominator, so every operation runs
-# over Python ints.
+# Polynomials in one formal variable q with integer coefficients, and their
+# ratios: every operation runs over Python ints.
 # ---------------------------------------------------------------------------
 
 
@@ -298,13 +296,6 @@ def int_poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     return out
 
 
-def _trim(coeffs: list) -> tuple:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
 def _integer_ratio(x) -> tuple[int, int]:
     """(a, b) with x = a / b and b > 0, for an int, Fraction or 'p/q' string."""
     if isinstance(x, int):
@@ -314,114 +305,63 @@ def _integer_ratio(x) -> tuple[int, int]:
 
 
 class Poly:
-    """Univariate polynomial in q with rational coefficients, lowest degree
-    first.
+    """Univariate polynomial in q with integer coefficients `nums`, lowest
+    degree first and with no trailing zero; the zero polynomial is ()."""
 
-    A polynomial is kept as its integer form: numerators `_nums` (no trailing
-    zero) over one denominator `_den` > 0 with gcd(_den, *_nums) = 1, unique
-    per value; the zero polynomial is ((), 1).  Sums, products and powers run
-    over Python ints, and the Fraction `coeffs` tuple is built only when it
-    is read.
-    """
+    __slots__ = ("nums",)
 
-    __slots__ = ("_nums", "_den", "_coeffs")
-
-    def __init__(self, coeffs: Iterable = ()):
-        self._coeffs = _trim([rational(c) for c in coeffs])
-        nums, self._den = common_denominator(self._coeffs)
-        self._nums = tuple(nums)
-
-    @classmethod
-    def _reduced(cls, nums: Sequence[int], den: int) -> "Poly":
-        """The polynomial nums / den, already in integer form."""
-        p = cls.__new__(cls)
-        p._nums, p._den, p._coeffs = tuple(nums), den, None
-        return p
-
-    @classmethod
-    def _from_integers(cls, nums: Sequence[int], den: int = 1) -> "Poly":
-        """The polynomial with coefficients nums[i] / den for ints, den
-        nonzero: trailing zeros are dropped and, unless den is 1, one gcd
-        reduces it to the integer form."""
+    def __init__(self, nums: Iterable[int] = ()):
         nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
-        if den != 1:
-            g = gcd(den, *nums)
-            if den < 0:
-                g = -g
-            if g != 1:
-                nums, den = [n // g for n in nums], den // g
-        return cls._reduced(nums, den)
+        self.nums = tuple(nums)
 
     @classmethod
-    def const(cls, c) -> "Poly":
-        num, den = _integer_ratio(c)
-        return cls._from_integers((num,), den)
+    def const(cls, c: int) -> "Poly":
+        return cls((c,))
 
     @classmethod
     def q(cls) -> "Poly":
-        return cls._reduced((0, 1), 1)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The Fraction coefficients, built on the first read and kept."""
-        if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple(Fraction(n, den) for n in self._nums)
-        return self._coeffs
+        return cls((0, 1))
 
     def is_zero(self) -> bool:
-        return not self._nums
+        return not self.nums
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly) and self._nums == other._nums and self._den == other._den
-        )
+        return isinstance(other, Poly) and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self._nums, self._den))
+        return hash(self.nums)
 
     def __add__(self, other: "Poly") -> "Poly":
-        den = lcm(self._den, other._den)
-        (a, sa), (b, sb) = (self._nums, den // self._den), (other._nums, den // other._den)
-        if len(a) < len(b):
-            (a, sa), (b, sb) = (b, sb), (a, sa)
-        out = [c * sa for c in a]
-        for i, c in enumerate(b):
-            out[i] += c * sb
-        return Poly._from_integers(out, den)
-
-    def __neg__(self) -> "Poly":
-        return Poly._reduced([-c for c in self._nums], self._den)
+        return Poly(a + b for a, b in zip_longest(self.nums, other.nums, fillvalue=0))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return Poly(a - b for a, b in zip_longest(self.nums, other.nums, fillvalue=0))
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly()
-        return Poly._from_integers(int_poly_mul(self._nums, other._nums), self._den * other._den)
+        return Poly(int_poly_mul(self.nums, other.nums))
 
     def __pow__(self, n: int) -> "Poly":
-        # (a / d)^n is already reduced: content(a^n) = content(a)^n is prime to d^n
         if n < 0:
             raise ValueError(f"negative Poly exponent {n}")
         if self.is_zero():
             return Poly.const(1) if n == 0 else self
-        result, base, den = [1], list(self._nums), self._den**n
+        result, base = [1], list(self.nums)
         while True:
             if n & 1:
                 result = int_poly_mul(result, base)
             n >>= 1
             if not n:
-                return Poly._reduced(result, den)
+                return Poly(result)
             base = int_poly_mul(base, base)
 
     def _value(self, a: int, b: int) -> tuple[int, int]:
         """(numerator, denominator) of the value at q = a / b, b > 0, by
-        Horner's rule over ints; the denominator is positive."""
-        nums = self._nums
+        Horner's rule over ints; the denominator is b^degree."""
+        nums = self.nums
         if not nums:
             return 0, 1
         acc, bpow = nums[-1], 1
@@ -432,38 +372,16 @@ class Poly:
             for c in nums[-2::-1]:
                 bpow *= b
                 acc = acc * a + c * bpow
-        return acc, self._den * bpow
-
-    def __call__(self, x) -> Fraction:
-        return Fraction(*self._value(*_integer_ratio(x)))
+        return acc, bpow
 
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(format_rational(c))
-            elif i == 1:
-                terms.append(f"{format_rational(c)}*q" if c != 1 else "q")
-            else:
-                terms.append(f"{format_rational(c)}*q^{i}" if c != 1 else f"q^{i}")
-        return "Poly(" + " + ".join(terms) + ")"
+        return f"Poly({', '.join(_int_to_str(c) for c in self.nums)})"
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
     """An integer coefficient list divided by its content; [] stays []."""
     g = gcd(*coeffs)
     return [c // g for c in coeffs]
-
-
-def _signed_content(coeffs: list[int]) -> int:
-    """The content of a nonzero integer coefficient list, signed like its
-    leading coefficient, so the quotient has a positive leading one."""
-    g = gcd(*coeffs)
-    return g if coeffs[-1] > 0 else -g
 
 
 def int_poly_gcd(p: list[int], q: list[int]) -> list[int]:
@@ -492,7 +410,7 @@ def int_poly_gcd(p: list[int], q: list[int]) -> list[int]:
     return p
 
 
-def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
+def _exact_quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """f / g for integer lists where g divides f over the integers; every
     step of the long division is then an exact integer division."""
     f = list(f)
@@ -507,46 +425,32 @@ def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
 
 
 class RationalFunctionQ:
-    """Quotient of integer-coefficient polynomials in q, in canonical form.
+    """Quotient num / den of integer polynomials in q, in lowest terms.
 
-    Canonical form: numerator and denominator are coprime with integer
-    coefficients, each primitive apart from a single leading rational content
-    pushed into the numerator, and the denominator's leading coefficient is
-    positive.  Equality of values implies equality of representations.
+    num and den share no nonconstant factor and no integer content, and
+    den's leading coefficient is positive; the zero function is 0 / 1.
+    Equality of values implies equality of representations.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None):
-        den = Poly.const(1) if den is None else den
+    def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             self.num, self.den = Poly(), Poly.const(1)
             return
-        # num / den = (n / nden) / (d / dden) in the integer forms: split off
-        # the signed contents, divide both primitive parts by their primitive
-        # gcd (exact over the integers by Gauss's lemma; skipped when it is 1)
-        # and keep one reduced content ratio p / r in the numerator
-        cn, cd = _signed_content(num._nums), _signed_content(den._nums)
-        n, d = [c // cn for c in num._nums], [c // cd for c in den._nums]
+        # divide both by their primitive gcd (exact over the integers by
+        # Gauss's lemma; skipped when it is constant), then by their common
+        # content, signed like den's leading coefficient
+        n, d = num.nums, den.nums
         g = int_poly_gcd(n, d)
         if len(g) > 1:
-            if g[-1] < 0:
-                g = [-c for c in g]
             n, d = _exact_quotient(n, g), _exact_quotient(d, g)
-        p, r = cn * den._den, cd * num._den
-        k = gcd(p, r) if r > 0 else -gcd(p, r)
-        self.num = Poly._reduced([p // k * c for c in n], r // k)
-        self.den = Poly._reduced(d, 1)
-
-    @classmethod
-    def const(cls, c) -> "RationalFunctionQ":
-        return cls(Poly.const(c))
-
-    @classmethod
-    def q(cls) -> "RationalFunctionQ":
-        return cls(Poly.q())
+        k = gcd(*n, *d)
+        if d[-1] < 0:
+            k = -k
+        self.num, self.den = Poly(c // k for c in n), Poly(c // k for c in d)
 
     def __eq__(self, other) -> bool:
         return (
@@ -557,17 +461,6 @@ class RationalFunctionQ:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __add__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
-        return RationalFunctionQ(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self):
-        return RationalFunctionQ(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
         return RationalFunctionQ(self.num * other.num, self.den * other.den)
@@ -584,12 +477,6 @@ class RationalFunctionQ:
 
     def __repr__(self):
         return f"RationalFunctionQ({self.num!r} / {self.den!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "num": [format_rational(c) for c in self.num.coeffs],
-            "den": [format_rational(c) for c in self.den.coeffs],
-        }
 
 
 def eval_q(f: RationalFunctionQ, q0) -> Fraction:

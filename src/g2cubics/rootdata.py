@@ -197,7 +197,7 @@ class AdjointGammaData:
         exponent = 10 * Fraction(1, 2) - 10 * s
         if exponent.denominator != 1:
             raise ValueError("epsilon specialization is not a q-power here")
-        return RationalFunctionQ(Poly.q()) ** int(exponent)
+        return RationalFunctionQ(Poly.q(), Poly.const(1)) ** int(exponent)
 
 
 @functools.cache

@@ -10,8 +10,6 @@ from fractions import Fraction
 from g2cubics import conormal, packets, rootdata, sheaves, verify
 from g2cubics.cubics import (
     BinaryCubic,
-    DualCubic,
-    GroupElement,
     OrbitClass,
     act,
     act_dual,

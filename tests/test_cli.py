@@ -17,6 +17,8 @@ import pytest
 from g2cubics import cli, linalg
 from g2cubics.cli import CHECK_FAILED, INPUT_ERROR, OK, main
 
+from fraction_reference import line_cubic
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -197,18 +199,6 @@ def test_kernel_of_a_cubic_built_to_defeat_the_prime(capsys):
     assert exact.call_count == 0
 
 
-def _line_product(lines):
-    """Integer coefficients of 3 * the product of the forms u1 y - u2 x."""
-    plain = [1]
-    for u1, u2 in lines:
-        plain = [
-            (plain[i] * u1 if i < len(plain) else 0) - (plain[i - 1] * u2 if i else 0)
-            for i in range(len(plain) + 1)
-        ]
-    a0, a1, a2, a3 = plain
-    return 3 * a0, -a1, -a2, -3 * a3
-
-
 @pytest.mark.parametrize(
     "lines, dimension",
     [((0, 1, 2), 0), ((0, 0, 1), 1), ((0, 0, 0), 2)],
@@ -217,7 +207,8 @@ def _line_product(lines):
 def test_kernel_at_twenty_thousand_digits(capsys, lines, dimension):
     k = 6667  # line entries of a third of the coefficients' 20,000 digits
     entries = [(_digits(k, 2 * i), _digits(k, 2 * i + 1)) for i in range(3)]
-    r = _line_product(entries[i] for i in lines)
+    # 3 * the product of the lines has integer coefficients
+    r = [int(c) for c in line_cubic(*(entries[i] for i in lines)).scale(3).coeffs]
     assert all(len(str(Decimal(abs(v)))) >= 20_000 for v in r)
     with mock.patch.object(linalg, "_rref", wraps=linalg._rref) as exact:
         code, out, _ = run_cli(capsys, "--format", "json", "kernel", *(str(Decimal(v)) for v in r))

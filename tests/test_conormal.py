@@ -32,7 +32,6 @@ from g2cubics.cubics import (
     BinaryCubic,
     DualCubic,
     GroupElement,
-    Line,
     OrbitClass,
     REPRESENTATIVES,
     act,

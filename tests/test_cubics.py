@@ -75,7 +75,8 @@ def test_act_rejects_singular_elements():
 
 
 def test_act_matrix_identity_and_diagonal():
-    assert act_matrix(GroupElement.identity()) == Matrix.identity(4)
+    identity = Matrix(4, 4, [int(i == j) for i in range(4) for j in range(4)])
+    assert act_matrix(GroupElement.identity()) == identity
     a, d = Fraction(3), Fraction(5)
     expected = Matrix.from_rows(
         [

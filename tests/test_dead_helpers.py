@@ -12,9 +12,25 @@ it: a local variable `order` does not keep the method `ComponentGroup.order`
 alive. The scan is still by name, so a helper that shares its name with a
 live one (a module function `det` next to a method `GroupElement.det`)
 escapes it.
+
+A second test closes that escape at run time. In a fresh process a profiler
+starts before `g2cubics` is imported; then every non-`verify` case of
+`tests/golden_cli.json`, `verify` in the sheaves, packets and g2 scopes, one
+`verify --tamper-evs` and the geometry checks run. Every function and method
+defined in the package, nested ones included, must have been called. Only
+the protocol methods `__hash__`, `__repr__`, `__eq__`, `__setattr__` and
+`__delattr__` are exempt. List the functions the sweep never calls with
+
+    PYTHONPATH=src python tests/test_dead_helpers.py
 """
 
 import ast
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -60,3 +76,77 @@ def test_every_definition_is_named_elsewhere():
     refs, attrs = _references()
     dead = sorted(name for name, method in _definitions() if (attrs if method else refs)[name] == 0)
     assert dead == []
+
+
+# called by the language for hashing, printing, comparing and guarding
+# attributes, so a sweep of commands need not reach them
+EXEMPT = {"__hash__", "__repr__", "__eq__", "__setattr__", "__delattr__"}
+
+
+def _functions() -> dict[tuple[str, int], str]:
+    """(file, first line of the code object) -> qualified name of every
+    function and method defined in the package, except the exempt ones. A
+    decorated function's code object starts at its first decorator."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if child.name not in EXEMPT:
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(str(path), first)] = name
+                visit(child, path, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, prefix + child.name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, f"{path.stem}.")
+    return found
+
+
+def _unreached() -> list[str]:
+    """The functions of the package that the command sweep never calls; run
+    it in a process that has not imported `g2cubics` yet."""
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    cases = [key.split() for key in golden if "verify" not in key.split()]
+    cases += [["verify", "--scope", scope] for scope in ("sheaves", "packets", "g2")]
+    cases.append(["verify", "--scope", "sheaves", "--tamper-evs"])
+    sys.setprofile(record)
+    try:
+        from g2cubics import cli, packets, verify
+
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in cases:
+                cli.main(argv)
+        verify.run_checks("geometry", packets.DERIVED)
+    finally:
+        sys.setprofile(None)
+    reached = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in called}
+    return [
+        f"{Path(path).relative_to(ROOT)}:{line} {name}"
+        for (path, line), name in sorted(_functions().items())
+        if (path, line) not in reached
+    ]
+
+
+def test_every_function_is_called_by_a_command():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True, check=False
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+if __name__ == "__main__":
+    unreached = _unreached()
+    sys.stdout.write("".join(f"{entry}\n" for entry in unreached))
+    sys.exit(1 if unreached else 0)

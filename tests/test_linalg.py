@@ -23,7 +23,7 @@ from g2cubics.linalg import (
 
 
 def test_kernel_of_identity_is_trivial():
-    assert kernel_basis(Matrix.identity(2)) == []
+    assert kernel_basis(Matrix.from_rows([[1, 0], [0, 1]])) == []
 
 
 def test_kernel_of_zero_map_is_standard_basis():
@@ -147,31 +147,32 @@ def test_parse_rational_grammar():
 
 
 def test_eval_q_examples():
-    q = RationalFunctionQ.q()
-    assert eval_q(q, 7) == 7
-    one = RationalFunctionQ.const(1)
-    gamma = q**9 / ((q + one) ** 2 * (q**2 + q + one))
+    q, one = Poly.q(), Poly.const(1)
+    assert eval_q(RationalFunctionQ(q, one), 7) == 7
+    gamma = RationalFunctionQ(q**9, (q + one) ** 2 * (q**2 + q + one))
     assert eval_q(gamma, 2) == Fraction(512, 63)
+    assert eval_q(gamma, "-1/2") == Fraction(-1, 96)
     with pytest.raises(PoleAtPoint):
-        eval_q(one / (q - one), 1)
+        eval_q(RationalFunctionQ(one, q - one), 1)
 
 
 def test_rational_function_canonical_form():
     q = Poly.q()
     one = Poly.const(1)
     f = RationalFunctionQ(q**2 - one, q - one)
-    assert f == RationalFunctionQ(q + one)
-    # denominator sign is normalized to a positive leading coefficient
-    g = RationalFunctionQ(q, Poly([0, -1]))
-    assert g == RationalFunctionQ(-q, Poly([0, 1]))
-    assert g.den.coeffs[-1] > 0
-
-
-def test_rational_function_json_is_lowest_degree_first():
-    q = Poly.q()
-    one = Poly.const(1)
-    f = RationalFunctionQ(q**2 - one, Poly.const(2))
-    assert f.to_json() == {"num": ["-1/2", "0", "1/2"], "den": ["1"]}
+    assert f == RationalFunctionQ(q + one, one)
+    assert (f.num.nums, f.den.nums) == ((1, 1), (1,))
+    # the denominator's leading coefficient is positive, and the integer
+    # content shared by numerator and denominator is divided out
+    g = RationalFunctionQ(Poly([0, 4]), Poly([0, -6]))
+    assert g == RationalFunctionQ(Poly([-2]), Poly([3]))
+    assert (g.num.nums, g.den.nums) == ((-2,), (3,))
+    h = RationalFunctionQ(Poly([-1, 0, 1]), Poly.const(2))
+    assert (h.num.nums, h.den.nums) == ((-1, 0, 1), (2,))
+    zero = RationalFunctionQ(Poly(), q - one)
+    assert (zero.num.nums, zero.den.nums) == ((), (1,))
+    with pytest.raises(ZeroDivisionError):
+        RationalFunctionQ(one, Poly([0, 0]))
 
 
 def test_negative_power_raises_on_poly_and_inverts_a_rational_function():
@@ -179,7 +180,7 @@ def test_negative_power_raises_on_poly_and_inverts_a_rational_function():
     for base in (q, Poly()):
         with pytest.raises(ValueError, match="negative Poly exponent -1"):
             base**-1
-    assert RationalFunctionQ.q() ** -2 == RationalFunctionQ(Poly.const(1), q**2)
+    assert RationalFunctionQ(q, Poly.const(1)) ** -2 == RationalFunctionQ(Poly.const(1), q**2)
 
 
 @st.composite

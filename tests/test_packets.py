@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from g2cubics.packets import (
