@@ -424,12 +424,23 @@ def _exact_quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return out
 
 
+def _cancel(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """f and g divided by their primitive gcd: exact over the integers by
+    Gauss's lemma, and skipped when the gcd is constant."""
+    h = int_poly_gcd(f, g)
+    if len(h) > 1:
+        return _exact_quotient(f, h), _exact_quotient(g, h)
+    return f, g
+
+
 class RationalFunctionQ:
     """Quotient num / den of integer polynomials in q, in lowest terms.
 
     num and den share no nonconstant factor and no integer content, and
     den's leading coefficient is positive; the zero function is 0 / 1.
-    Equality of values implies equality of representations.
+    Equality of values implies equality of representations.  Arithmetic
+    keeps the operands' lowest terms: a product needs only the two cross
+    gcds, and a power none.
     """
 
     __slots__ = ("num", "den")
@@ -437,20 +448,33 @@ class RationalFunctionQ:
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
+        n, d = num.nums, den.nums
+        if n:
+            n, d = _cancel(n, d)
+        self._store(n, d)
+
+    def _store(self, n: Sequence[int], d: Sequence[int]) -> None:
+        """Set num / den from coprime integer lists, d nonzero, divided by
+        their common content signed like d's leading coefficient."""
+        if not n:
             self.num, self.den = Poly(), Poly.const(1)
             return
-        # divide both by their primitive gcd (exact over the integers by
-        # Gauss's lemma; skipped when it is constant), then by their common
-        # content, signed like den's leading coefficient
-        n, d = num.nums, den.nums
-        g = int_poly_gcd(n, d)
-        if len(g) > 1:
-            n, d = _exact_quotient(n, g), _exact_quotient(d, g)
         k = gcd(*n, *d)
         if d[-1] < 0:
             k = -k
         self.num, self.den = Poly(c // k for c in n), Poly(c // k for c in d)
+
+    @classmethod
+    def _product(cls, a, b, c, d) -> "RationalFunctionQ":
+        """(a c) / (b d) for pairs a / b and c / d each in lowest terms up to
+        sign: a factor they share is one of a and d, or of c and b."""
+        out = object.__new__(cls)
+        if a and c:
+            (a, d), (c, b) = _cancel(a, d), _cancel(c, b)
+            out._store(int_poly_mul(a, c), int_poly_mul(b, d))
+        else:
+            out._store((), (1,))
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -463,17 +487,26 @@ class RationalFunctionQ:
         return hash((self.num, self.den))
 
     def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
-        return RationalFunctionQ(self.num * other.num, self.den * other.den)
+        return self._product(self.num.nums, self.den.nums, other.num.nums, other.den.nums)
 
     def __truediv__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
         if other.num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunctionQ(self.num * other.den, self.den * other.num)
+        return self._product(self.num.nums, self.den.nums, other.den.nums, other.num.nums)
 
     def __pow__(self, n: int) -> "RationalFunctionQ":
+        # powers of coprime polynomials are coprime, and so are powers of
+        # coprime contents: only the swap of a negative exponent needs a sign
+        num, den = self.num ** abs(n), self.den ** abs(n)
         if n < 0:
-            return RationalFunctionQ(self.den ** (-n), self.num ** (-n))
-        return RationalFunctionQ(self.num**n, self.den**n)
+            if num.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            num, den = den, num
+            if den.nums[-1] < 0:
+                num, den = Poly(-c for c in num.nums), Poly(-c for c in den.nums)
+        out = object.__new__(RationalFunctionQ)
+        out.num, out.den = num, den
+        return out
 
     def __repr__(self):
         return f"RationalFunctionQ({self.num!r} / {self.den!r})"

@@ -9,12 +9,27 @@ the acceptance tests reuse the random generators and the repeated-root
 oracle below.  The oracles that only the checks use live here too: the
 homogeneous gcd, the derivatives it needs, and the exact eliminations of the
 infinitesimal action and of the moment matrix.  No command calls them.
+
+A scope that holds a randomized check (one with a `trials` parameter) runs
+on two processes when `run_checks` can fork a worker beside it: `os.fork`
+exists, the process runs one thread and may use two or more CPUs.  The
+parent runs the even positions of the scope's registry order; one forked
+worker runs the odd ones and sends (passed, witness) per check back as JSON
+through a pipe; the parent merges them into registry order.  The worker
+leaves only through `os._exit`; the parent always reaps it, killing it first
+if it still runs, so no `BaseException` in the parent leaves a process
+behind; a missing or short reply makes the parent run the worker's share.
 """
 
 from __future__ import annotations
 
+import contextlib
 import inspect
+import json
+import os
 import random
+import signal
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -874,22 +889,86 @@ CHECKS: list[tuple[str, str, object]] = [
 ]
 
 # computed once from the plain functions: a tracer may later swap the CHECKS
-# entries for *args wrappers, whose signatures no longer name `derived`
+# entries for *args wrappers, whose signatures no longer name `derived` or
+# `trials`
 _TABLE_CHECKS = {
     name for name, _, fn in CHECKS if "derived" in inspect.signature(fn).parameters
 }
+_RANDOMIZED_CHECKS = {
+    name for name, _, fn in CHECKS if "trials" in inspect.signature(fn).parameters
+}
+
+
+def _run(entries: list, derived: Derived) -> list[CheckResult]:
+    """Run the registry entries in order; a raising check is a failing check."""
+    results = []
+    for name, check_scope, fn in entries:
+        try:
+            witness = fn(derived) if name in _TABLE_CHECKS else fn()
+        except Exception as exc:
+            witness = f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, check_scope, witness is None, witness or ""))
+    return results
+
+
+def _can_fork_a_worker() -> bool:
+    """Whether a forked worker can run beside this process: `os.fork` exists,
+    this process runs one thread (a fork copies no other, and the signal mask
+    below is per thread) and it may run on two or more CPUs."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and threading.active_count() == 1
+        and len(os.sched_getaffinity(0)) >= 2
+    )
 
 
 def run_checks(scope: str, derived: Derived) -> list[CheckResult]:
     """Run every check in the scope ("all" or one scope) against the facts
-    derived from one table set; never stops early."""
-    results = []
-    for name, check_scope, fn in CHECKS:
-        if scope != "all" and check_scope != scope:
-            continue
+    derived from one table set; never stops early.  A scope with a randomized
+    check runs on two processes when it can (see the module docstring)."""
+    entries = [entry for entry in CHECKS if scope in ("all", entry[1])]
+    if not (any(name in _RANDOMIZED_CHECKS for name, _, _ in entries) and _can_fork_a_worker()):
+        return _run(entries, derived)
+    mine, theirs = entries[0::2], entries[1::2]
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reply, open(write_end, "wb") as out:
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        pid = -1  # no worker
         try:
-            witness = fn(derived) if name in _TABLE_CHECKS else fn()
-        except Exception as exc:  # a raising check is a failing check
-            witness = f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, check_scope, witness is None, witness or ""))
-    return results
+            # every signal is blocked across the fork, and in the worker for
+            # good: no handler can run before the parent is inside this try,
+            # nor unwind the worker into the caller's stack
+            signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            with contextlib.suppress(OSError):  # no worker: its reply is missing
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    sent = [(r.passed, r.witness) for r in _run(theirs, derived)]
+                    out.write(json.dumps(sent).encode())
+                    out.close()
+                finally:
+                    os._exit(0)
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            out.close()  # the read below ends when the worker's copy closes
+            ours = _run(mine, derived)
+            data = reply.read()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            if pid > 0:
+                os.kill(pid, signal.SIGKILL)  # no effect on a worker that has exited
+                os.waitpid(pid, 0)
+    try:
+        pairs = json.loads(data)
+    except ValueError:
+        pairs = []
+    if len(pairs) == len(theirs):
+        others = [
+            CheckResult(name, check_scope, passed, witness)
+            for (name, check_scope, _), (passed, witness) in zip(theirs, pairs)
+        ]
+    else:
+        others = _run(theirs, derived)
+    merged = [None] * len(entries)
+    merged[0::2], merged[1::2] = ours, others
+    return merged

@@ -16,7 +16,9 @@ escapes it.
 A second test closes that escape at run time. In a fresh process a profiler
 starts before `g2cubics` is imported; then every non-`verify` case of
 `tests/golden_cli.json`, `verify` in the sheaves, packets and g2 scopes, one
-`verify --tamper-evs` and the geometry checks run. Every function and method
+`verify --tamper-evs` and the geometry checks run, the last twice: pinned to
+one CPU, so that every check runs in the profiled process, and on the CPUs the
+process had, so that `run_checks` forks its worker. Every function and method
 defined in the package, nested ones included, must have been called. Only
 the protocol methods `__hash__`, `__repr__`, `__eq__`, `__setattr__` and
 `__delattr__` are exempt. List the functions the sweep never calls with
@@ -127,6 +129,15 @@ def _unreached() -> list[str]:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for argv in cases:
                 cli.main(argv)
+        # the worker's calls stay in the worker, so the geometry checks run
+        # once pinned to one CPU, which is serial and reaches every check
+        # body, and once as found, which reaches the fork and the merge
+        affinity = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(affinity)})
+        try:
+            verify.run_checks("geometry", packets.DERIVED)
+        finally:
+            os.sched_setaffinity(0, affinity)
         verify.run_checks("geometry", packets.DERIVED)
     finally:
         sys.setprofile(None)

@@ -3,9 +3,12 @@ import contextlib
 import dataclasses
 import hashlib
 import inspect
+import os
 import random
+import signal
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -227,3 +230,147 @@ def test_each_random_operand_is_cleared_once():
     assert clears <= 3 * trials + (draws - trials)  # r, s, h
     clears, draws = _clears_and_draws(verify.check_classify_invariance, trials)
     assert clears <= 2 * trials + (draws - trials)  # r, h
+
+
+# --- the split over two processes ---------------------------------------------------
+
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+
+
+@contextlib.contextmanager
+def _one_cpu():
+    """Pin this process to one CPU, which makes `run_checks` serial."""
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, affinity)
+
+
+def _serial(scope, derived):
+    with _one_cpu(), mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        return verify.run_checks(scope, derived)
+
+
+def _split(scope, derived):
+    """run_checks with the fork counted; it leaves no child and the signal
+    mask as it found it."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        results = verify.run_checks(scope, derived)
+    assert fork.call_count == int(TWO_CPUS)
+    _assert_no_child()
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+    return results
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _patched(replacements):
+    """CHECKS with the entry at each position's function replaced."""
+    checks = list(verify.CHECKS)
+    for position, fn in replacements.items():
+        name, scope, _ = checks[position]
+        checks[position] = (name, scope, fn)
+    return mock.patch.object(verify, "CHECKS", checks)
+
+
+def _fails(*args):
+    return "tampered"
+
+
+def _raises(*args):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("scope", ["all", "geometry"])
+@pytest.mark.parametrize("derived", [DERIVED, TAMPERED], ids=["shipped", "tamper-evs"])
+def test_split_results_equal_serial_results(scope, derived):
+    assert _split(scope, derived) == _serial(scope, derived)
+
+
+@pytest.mark.parametrize("scope", ["all", "geometry"])
+def test_split_keeps_failing_and_raising_checks_of_either_half(scope):
+    # positions 0 and 2 run in the parent, 1 and 3 in the worker
+    with _patched({0: _fails, 1: _fails, 2: _raises, 3: _raises}):
+        split, serial = _split(scope, DERIVED), _serial(scope, DERIVED)
+    assert split == serial
+    assert [(r.passed, r.witness) for r in split[:4]] == [
+        (False, "tampered"), (False, "tampered"), (False, "ValueError: boom"), (False, "ValueError: boom")
+    ]
+    assert all(r.passed for r in split[4:])
+
+
+class _Stop(BaseException):
+    pass
+
+
+def _stops(*args):
+    raise _Stop()
+
+
+def _sleeps_in_the_worker(parent):
+    def check(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+
+    return check
+
+
+@pytest.mark.parametrize("position", [0, 1], ids=["parent-half", "worker-half"])
+def test_a_base_exception_in_either_half_leaves_no_child(position):
+    # the parent kills a worker still busy (here asleep) rather than wait for
+    # it; a worker leaves on a BaseException without a reply, so the parent
+    # runs its share and meets the exception itself
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    checks = {position: _stops, 3: _sleeps_in_the_worker(os.getpid())}
+    start = time.monotonic()
+    with _patched(checks), pytest.raises(_Stop):
+        verify.run_checks("geometry", DERIVED)
+    assert time.monotonic() - start < 30
+    _assert_no_child()
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="one CPU: run_checks does not fork")
+def test_a_fork_that_raises_restores_the_signal_mask():
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    with mock.patch.object(os, "fork", side_effect=_Stop), pytest.raises(_Stop):
+        verify.run_checks("geometry", DERIVED)
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+
+
+def test_a_worker_that_dies_is_replaced_by_the_parent():
+    parent = os.getpid()
+
+    def dies_in_the_worker(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return "ran in the parent"
+
+    with _patched({1: dies_in_the_worker}):
+        split, serial = _split("all", DERIVED), _serial("all", DERIVED)
+    assert split == serial
+    assert [r.name for r in split if not r.passed] == ["discriminant-repeated-root-oracle"]
+
+
+def test_a_failed_fork_runs_both_halves_in_the_parent():
+    serial = _serial("all", DERIVED)
+    with mock.patch.object(os, "fork", side_effect=OSError("no processes")):
+        assert verify.run_checks("all", DERIVED) == serial
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("scope", ["sheaves", "packets", "g2"])
+def test_scopes_without_a_randomized_check_never_fork(scope):
+    with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        assert all(r.passed for r in verify.run_checks(scope, DERIVED))
+
+
+def test_the_randomized_checks_are_the_ones_with_trials():
+    assert verify._RANDOMIZED_CHECKS == set(RANDOMIZED_DEFAULTS)
+    assert {s for name, s, _ in verify.CHECKS if name in verify._RANDOMIZED_CHECKS} == {"geometry"}
