@@ -282,23 +282,25 @@ def evaluate(r: BinaryCubic | DualCubic, x, y) -> Fraction:
 
 
 def _substitute(plain: list[int], a: int, b: int, c: int, d: int) -> list[int]:
-    """Expand p((x, y) [[a, b], [c, d]]) over Python ints, for a homogeneous
-    polynomial p with integer coefficients in the plain basis.
+    """Expand p((x, y) [[a, b], [c, d]]) over Python ints, for a cubic p
+    with integer coefficients in the plain basis; cubics only.
 
     The substitution is x |-> X = a x + c y, y |-> Y = b x + d y, and
-    p(X, Y) = sum_i p_i Y^(deg-i) X^i is expanded by homogeneous Horner:
-    r = p_deg, then r = X r + p_i Y^(deg-i) for i = deg-1 down to 0, with
-    the powers of Y built along the way.
+    p(X, Y) = ((p3 X + p2 Y) X + p1 Y^2) X + p0 Y^3 is expanded by
+    homogeneous Horner, one step per line.
     """
-    ypow, r = [1], [plain[-1]]
-    for p in reversed(plain[:-1]):
-        ypow = [d * ypow[0], *[d * ypow[k] + b * ypow[k - 1] for k in range(1, len(ypow))], b * ypow[-1]]
-        r = [
-            c * r[0] + p * ypow[0],
-            *[c * r[k] + a * r[k - 1] + p * ypow[k] for k in range(1, len(r))],
-            a * r[-1] + p * ypow[-1],
-        ]
-    return r
+    p0, p1, p2, p3 = plain
+    l0, l1 = p3 * c + p2 * d, p3 * a + p2 * b  # p3 X + p2 Y
+    q0 = l0 * c + p1 * d * d  # (p3 X + p2 Y) X + p1 Y^2
+    q1 = l0 * a + l1 * c + 2 * p1 * b * d
+    q2 = l1 * a + p1 * b * b
+    e0, e1 = p0 * d, p0 * b  # p0 Y^3 = (e0 d^2, 3 e1 d^2, 3 e1 b d, e1 b^2)
+    return [
+        q0 * c + e0 * d * d,
+        q0 * a + q1 * c + 3 * e1 * d * d,
+        q1 * a + q2 * c + 3 * e1 * b * d,
+        q2 * a + e1 * b * b,
+    ]
 
 
 def act(h: GroupElement, r: BinaryCubic) -> BinaryCubic:

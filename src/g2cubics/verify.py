@@ -12,13 +12,15 @@ infinitesimal action and of the moment matrix.  No command calls them.
 
 A scope that holds a randomized check (one with a `trials` parameter) runs
 on two processes when `run_checks` can fork a worker beside it: `os.fork`
-exists, the process runs one thread and may use two or more CPUs.  The
-parent runs the even positions of the scope's registry order; one forked
-worker runs the odd ones and sends (passed, witness) per check back as JSON
-through a pipe; the parent merges them into registry order.  The worker
-leaves only through `os._exit`; the parent always reaps it, killing it first
-if it still runs, so no `BaseException` in the parent leaves a process
-behind; a missing or short reply makes the parent run the worker's share.
+exists, the process runs one thread and may use two or more CPUs.  Before
+the fork the parent writes the scope's registry positions, one byte each,
+into a task pipe and closes its write end; the parent and one forked worker
+each read one position at a time and run that check until the pipe is
+empty.  The worker sends (position, passed, witness) per check back as JSON
+through a second pipe; the parent merges them into registry order and runs
+again any position with no result.  The worker leaves only through
+`os._exit`; the parent always reaps it, killing it first if it still runs,
+so no `BaseException` in the parent leaves a process behind.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import signal
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import conormal, cubics, packets, rootdata, sheaves
 from .cubics import (
@@ -69,31 +72,50 @@ _RANDOM_DENOMINATORS = (1, 1, 1, 2, 3)
 _RANDOM_FRACTIONS = {(n, d): Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)}
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    """The draw of rng.randint(-4, 4) and rng.choice(_RANDOM_DENOMINATORS),
-    made with the same getrandbits calls those make: the smallest number of
-    bits that holds the range size, redrawn until it falls inside."""
-    bits = rng.getrandbits
-    num = bits(4)
+def _random_int(rng: random.Random) -> int:
+    """The draw of rng.randint(-4, 4), made with the getrandbits calls it
+    makes: the smallest number of bits that holds the range size, redrawn
+    until it falls inside."""
+    num = rng.getrandbits(4)
     while num >= 9:
-        num = bits(4)
-    den = bits(3)
+        num = rng.getrandbits(4)
+    return num - 4
+
+
+def _random_pair(rng: random.Random) -> tuple[int, int]:
+    """(num, den): the draws of rng.randint(-4, 4) and
+    rng.choice(_RANDOM_DENOMINATORS), made as `_random_int` makes the first."""
+    num = _random_int(rng)
+    den = rng.getrandbits(3)
     while den >= 5:
-        den = bits(3)
-    return _RANDOM_FRACTIONS[num - 4, _RANDOM_DENOMINATORS[den]]
+        den = rng.getrandbits(3)
+    return num, _RANDOM_DENOMINATORS[den]
+
+
+def _random_fraction(rng: random.Random) -> Fraction:
+    """The `_random_pair` draw as one Fraction."""
+    return _RANDOM_FRACTIONS[_random_pair(rng)]
+
+
+def _random_vector(cls, rng: random.Random):
+    """cls of four `_random_fraction` draws, built in integer form from the
+    drawn (num, den) pairs, so no Fraction is made or cleared."""
+    pairs = [_random_pair(rng) for _ in range(4)]
+    den = lcm(*(d for _, d in pairs))
+    return cls._from_integers([n * (den // d) for n, d in pairs], den)
 
 
 def _random_cubic(rng: random.Random) -> BinaryCubic:
-    return BinaryCubic(*(_random_fraction(rng) for _ in range(4)))
+    return _random_vector(BinaryCubic, rng)
 
 
 def _random_dual(rng: random.Random) -> DualCubic:
-    return DualCubic(*(_random_fraction(rng) for _ in range(4)))
+    return _random_vector(DualCubic, rng)
 
 
 def _random_group_element(rng: random.Random) -> GroupElement:
     while True:
-        h = GroupElement(*(_random_fraction(rng) for _ in range(4)))
+        h = _random_vector(GroupElement, rng)
         if h.integer_entries()[5] != 0:  # det(h) times den^2
             return h
 
@@ -138,13 +160,14 @@ def _gcd_poly(p: list[int], q: list[int]) -> list[int]:
 def _has_repeated_root(r: BinaryCubic) -> bool:
     """Brute-force oracle: gcd(r, dr/dx, dr/dy) is nonconstant.
 
-    It runs on r's integer numerators, which have the same roots as r.
+    It runs on r's integer numerators, which have the same roots as r.  By
+    Euler's identity 3 r = x dr/dx + y dr/dy, gcd(dr/dx, dr/dy) divides r,
+    so that one gcd is the three-way gcd.
     """
     p = to_plain(r.integers()[0])
     if not any(p):
         return True
-    g = _gcd_poly(_gcd_poly(p, _poly_dx(p)), _poly_dy(p))
-    return len(g) - 1 > 0
+    return len(_gcd_poly(_poly_dx(p), _poly_dy(p))) - 1 > 0
 
 
 # the four unit dual cubics (1, 0, 0, 0) .. (0, 0, 0, 1)
@@ -203,7 +226,7 @@ def check_orbit_representatives() -> str | None:
 def check_discriminant_oracle(trials: int = 1000, seed: int = 101) -> str | None:
     rng = random.Random(seed)
     for k in range(trials):
-        r = BinaryCubic(*(rng.randint(-4, 4) for _ in range(4)))
+        r = BinaryCubic._from_integers([_random_int(rng) for _ in range(4)], 1)
         lhs = discriminant(r) == 0
         rhs = _has_repeated_root(r)
         if lhs != rhs:
@@ -899,16 +922,21 @@ _RANDOMIZED_CHECKS = {
 }
 
 
-def _run(entries: list, derived: Derived) -> list[CheckResult]:
-    """Run the registry entries in order; a raising check is a failing check."""
-    results = []
-    for name, check_scope, fn in entries:
-        try:
-            witness = fn(derived) if name in _TABLE_CHECKS else fn()
-        except Exception as exc:
-            witness = f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, check_scope, witness is None, witness or ""))
-    return results
+def _run(entry: tuple, derived: Derived) -> CheckResult:
+    """Run one registry entry; a raising check is a failing check."""
+    name, check_scope, fn = entry
+    try:
+        witness = fn(derived) if name in _TABLE_CHECKS else fn()
+    except Exception as exc:
+        witness = f"{type(exc).__name__}: {exc}"
+    return CheckResult(name, check_scope, witness is None, witness or "")
+
+
+def _take(tasks, entries: list, derived: Derived):
+    """Read positions from the task pipe one byte at a time, until it is
+    empty, and yield (position, result) of the entry at each."""
+    while task := tasks.read(1):
+        yield task[0], _run(entries[task[0]], derived)
 
 
 def _can_fork_a_worker() -> bool:
@@ -929,10 +957,17 @@ def run_checks(scope: str, derived: Derived) -> list[CheckResult]:
     check runs on two processes when it can (see the module docstring)."""
     entries = [entry for entry in CHECKS if scope in ("all", entry[1])]
     if not (any(name in _RANDOMIZED_CHECKS for name, _, _ in entries) and _can_fork_a_worker()):
-        return _run(entries, derived)
-    mine, theirs = entries[0::2], entries[1::2]
+        return [_run(entry, derived) for entry in entries]
+    results: list[CheckResult | None] = [None] * len(entries)
+    task_read, task_write = os.pipe()
     read_end, write_end = os.pipe()
-    with open(read_end, "rb") as reply, open(write_end, "wb") as out:
+    with open(task_write, "wb") as queue:
+        queue.write(bytes(range(len(entries))))  # one byte per position
+    with (
+        open(task_read, "rb", buffering=0) as tasks,
+        open(read_end, "rb") as reply,
+        open(write_end, "wb") as out,
+    ):
         held = signal.pthread_sigmask(signal.SIG_BLOCK, ())
         pid = -1  # no worker
         try:
@@ -940,18 +975,19 @@ def run_checks(scope: str, derived: Derived) -> list[CheckResult]:
             # good: no handler can run before the parent is inside this try,
             # nor unwind the worker into the caller's stack
             signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-            with contextlib.suppress(OSError):  # no worker: its reply is missing
+            with contextlib.suppress(OSError):  # no worker: its reply is empty
                 pid = os.fork()
             if pid == 0:
                 try:
-                    sent = [(r.passed, r.witness) for r in _run(theirs, derived)]
+                    sent = [(i, r.passed, r.witness) for i, r in _take(tasks, entries, derived)]
                     out.write(json.dumps(sent).encode())
                     out.close()
                 finally:
                     os._exit(0)
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
             out.close()  # the read below ends when the worker's copy closes
-            ours = _run(mine, derived)
+            for i, result in _take(tasks, entries, derived):
+                results[i] = result
             data = reply.read()
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
@@ -959,16 +995,11 @@ def run_checks(scope: str, derived: Derived) -> list[CheckResult]:
                 os.kill(pid, signal.SIGKILL)  # no effect on a worker that has exited
                 os.waitpid(pid, 0)
     try:
-        pairs = json.loads(data)
+        sent = json.loads(data)
     except ValueError:
-        pairs = []
-    if len(pairs) == len(theirs):
-        others = [
-            CheckResult(name, check_scope, passed, witness)
-            for (name, check_scope, _), (passed, witness) in zip(theirs, pairs)
-        ]
-    else:
-        others = _run(theirs, derived)
-    merged = [None] * len(entries)
-    merged[0::2], merged[1::2] = ours, others
-    return merged
+        sent = []
+    for i, passed, witness in sent:
+        name, check_scope, _ = entries[i]
+        results[i] = CheckResult(name, check_scope, passed, witness)
+    # a position with no result was taken by a worker that died before its reply
+    return [_run(entry, derived) if r is None else r for entry, r in zip(entries, results)]

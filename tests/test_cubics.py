@@ -123,6 +123,22 @@ def test_integer_substitution_matches_fraction_expansion():
         assert got == fraction_substitute(plain, h.a, h.b, h.c, h.d)
 
 
+# four integers of 64 to 2048 bits, either sign, or zero
+_wide_ints = st.lists(
+    st.integers(64, 2048).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)) | st.just(0),
+    min_size=4,
+    max_size=4,
+)
+
+
+@settings(max_examples=200)
+@given(_wide_ints, _wide_ints)
+def test_cubic_substitution_matches_fraction_expansion_at_wide_entries(plain, h):
+    # the unrolled cubic Horner steps agree with the term-by-term expansion
+    expected = fraction_substitute([Fraction(p) for p in plain], *map(Fraction, h))
+    assert _substitute(plain, *h) == expected
+
+
 def test_act_dual_identity_and_scalars():
     rng = random.Random(4)
     s = DualCubic(1, -2, 3, Fraction(1, 2))

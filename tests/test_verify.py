@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import os
 import random
 import signal
@@ -15,7 +16,7 @@ from unittest import mock
 import pytest
 
 from g2cubics import conormal, linalg, verify
-from g2cubics.cubics import DualCubic, GroupElement, OrbitClass, classify
+from g2cubics.cubics import BinaryCubic, DualCubic, GroupElement, OrbitClass, classify, to_plain
 from g2cubics.linalg import format_rational
 from g2cubics.packets import DERIVED, Derived
 from g2cubics.sheaves import TABLES, SimpleObject
@@ -195,10 +196,35 @@ def test_random_fraction_is_randint_then_choice():
         assert fast.getstate() == reference.getstate()
 
 
-def _clears_and_draws(check, trials):
+def test_integer_form_draws_are_randint_then_choice():
+    # the draws built in integer form, and the randint(-4, 4) draw of the
+    # discriminant oracle, return the reference values and consume the same bits
+    def pair(rng):
+        return Fraction(rng.randint(-4, 4), rng.choice(verify._RANDOM_DENOMINATORS))
+
+    def element(rng):
+        while True:
+            h = GroupElement(*(pair(rng) for _ in range(4)))
+            if h.det() != 0:
+                return h
+
+    draws = [
+        (verify._random_int, lambda rng: rng.randint(-4, 4)),
+        (verify._random_cubic, lambda rng: BinaryCubic(*(pair(rng) for _ in range(4)))),
+        (verify._random_dual, lambda rng: DualCubic(*(pair(rng) for _ in range(4)))),
+        (verify._random_group_element, element),
+    ]
+    for seed in range(5):
+        for draw, reference_draw in draws:
+            fast, reference = random.Random(seed), random.Random(seed)
+            for _ in range(2000):
+                assert draw(fast) == reference_draw(reference)
+            assert fast.getstate() == reference.getstate()
+
+
+def _clears(check, trials):
     """Run check(trials=trials); return the number of common_denominator
-    calls, counted in every module that imports it, and the number of group
-    elements drawn (each draw builds one `verify.GroupElement`)."""
+    calls, counted in every module that imports it."""
     clears = []
     real = linalg.common_denominator
 
@@ -214,27 +240,35 @@ def _clears_and_draws(check, trials):
     with contextlib.ExitStack() as stack:
         for module in modules:
             stack.enter_context(mock.patch.object(module, "common_denominator", counted))
-        drawn = stack.enter_context(
-            mock.patch.object(verify, "GroupElement", wraps=GroupElement)
-        )
         assert check(trials=trials) is None
-    return len(clears), drawn.call_count
+    return len(clears)
 
 
-def test_each_random_operand_is_cleared_once():
-    # a trial clears each of its random operands once, and an element
-    # redrawn for being singular once more; results of act/act_dual are
-    # born in integer form and every reader shares the kept one
-    trials = 100
-    clears, draws = _clears_and_draws(verify.check_pairing_invariance, trials)
-    assert clears <= 3 * trials + (draws - trials)  # r, s, h
-    clears, draws = _clears_and_draws(verify.check_classify_invariance, trials)
-    assert clears <= 2 * trials + (draws - trials)  # r, h
+def test_random_operands_are_never_cleared():
+    # the random operands are drawn in integer form, the results of
+    # act/act_dual are born in it, and every reader shares the kept one, so
+    # no trial clears a denominator
+    for check in (
+        verify.check_pairing_invariance,
+        verify.check_classify_invariance,
+        verify.check_discriminant_oracle,
+    ):
+        assert _clears(check, 100) == 0
 
 
-# --- the split over two processes ---------------------------------------------------
+def test_one_gcd_oracle_is_the_three_way_gcd():
+    # gcd(r_x, r_y) against gcd(r, r_x, r_y) on every cubic with entries in -4..4
+    for coeffs in itertools.product(range(-4, 5), repeat=4):
+        p = to_plain(coeffs)
+        three_way = verify._gcd_poly(verify._gcd_poly(p, verify._poly_dx(p)), verify._poly_dy(p))
+        expected = not any(p) or len(three_way) > 1
+        assert verify._has_repeated_root(BinaryCubic(*coeffs)) == expected, coeffs
+
+
+# --- the two processes ---------------------------------------------------------------
 
 TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+needs_two_cpus = pytest.mark.skipif(not TWO_CPUS, reason="one CPU: run_checks does not fork")
 
 
 @contextlib.contextmanager
@@ -270,13 +304,48 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _patched(replacements):
-    """CHECKS with the entry at each position's function replaced."""
-    checks = list(verify.CHECKS)
-    for position, fn in replacements.items():
-        name, scope, _ = checks[position]
-        checks[position] = (name, scope, fn)
-    return mock.patch.object(verify, "CHECKS", checks)
+def _ran(log):
+    """The (pid, position) lines the wrapped checks appended to `log`."""
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def _run_it(position, fn, *args):
+    return fn(*args)
+
+
+def _wait_for_the_other(log, parent):
+    """Wait until the other process has appended a line to `log`."""
+    me = os.getpid() == parent
+    deadline = time.monotonic() + 10
+    while all((pid == parent) == me for pid, _ in _ran(log)):
+        assert time.monotonic() < deadline, "the other process took no check"
+        time.sleep(0.001)
+
+
+@contextlib.contextmanager
+def _by_process(log, in_parent=_run_it, in_worker=_run_it):
+    """CHECKS with every check wrapped: it appends "pid position" to the file
+    `log`, then calls in_parent(position, check, *args) in the process that
+    runs this test and in_worker(...) in the forked worker.  The first check
+    each process takes waits until the other has taken one, so both take
+    part whatever the checks cost."""
+    parent, first = os.getpid(), [True]
+
+    def wrap(position, fn):
+        def check(*args):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {position}\n")
+            if first:  # each process changes only its own copy
+                first.clear()
+                _wait_for_the_other(log, parent)
+            behaviour = in_parent if os.getpid() == parent else in_worker
+            return behaviour(position, fn, *args)
+
+        return check
+
+    checks = [(name, scope, wrap(i, fn)) for i, (name, scope, fn) in enumerate(verify.CHECKS)]
+    with mock.patch.object(verify, "CHECKS", checks):
+        yield
 
 
 def _fails(*args):
@@ -287,22 +356,81 @@ def _raises(*args):
     raise ValueError("boom")
 
 
+_WITNESSES = {_fails: "tampered", _raises: "ValueError: boom"}
+
+
+def test_the_task_pipe_holds_every_registry_position():
+    # the parent writes one byte per position
+    assert len(verify.CHECKS) < 256
+
+
 @pytest.mark.parametrize("scope", ["all", "geometry"])
 @pytest.mark.parametrize("derived", [DERIVED, TAMPERED], ids=["shipped", "tamper-evs"])
 def test_split_results_equal_serial_results(scope, derived):
     assert _split(scope, derived) == _serial(scope, derived)
 
 
+@needs_two_cpus
 @pytest.mark.parametrize("scope", ["all", "geometry"])
-def test_split_keeps_failing_and_raising_checks_of_either_half(scope):
-    # positions 0 and 2 run in the parent, 1 and 3 in the worker
-    with _patched({0: _fails, 1: _fails, 2: _raises, 3: _raises}):
-        split, serial = _split(scope, DERIVED), _serial(scope, DERIVED)
+def test_each_position_runs_once_across_the_two_processes(scope, tmp_path):
+    log = tmp_path / "ran"
+    with _by_process(log):
+        split = _split(scope, DERIVED)
+    assert split == _serial(scope, DERIVED)
+    ran = _ran(log)
+    assert sorted(position for _, position in ran) == list(range(len(split)))
+    assert len({pid for pid, _ in ran}) == 2
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("scope", ["all", "geometry"])
+def test_split_keeps_failing_and_raising_checks_of_either_half(scope, tmp_path):
+    # each process fails every check it takes, or raises in it; the merge
+    # keeps each witness at its registry position
+    serial = _serial(scope, DERIVED)
+    parent = os.getpid()
+    for in_parent, in_worker in ((_fails, _raises), (_raises, _fails)):
+        log = tmp_path / in_parent.__name__
+        with _by_process(log, in_parent, in_worker):
+            split = _split(scope, DERIVED)
+        ran = _ran(log)
+        assert sorted(position for _, position in ran) == list(range(len(serial)))
+        assert len({pid for pid, _ in ran}) == 2
+        by = {position: pid for pid, position in ran}
+        assert [(r.name, r.scope) for r in split] == [(r.name, r.scope) for r in serial]
+        assert [(r.passed, r.witness) for r in split] == [
+            (False, _WITNESSES[in_parent if by[i] == parent else in_worker])
+            for i in range(len(split))
+        ]
+
+
+@needs_two_cpus
+def test_the_parent_runs_every_other_check_while_the_worker_is_held(tmp_path):
+    # list scheduling: the worker sleeps in the first check it takes, and the
+    # parent takes every other one meanwhile
+    sleep = 3.0
+    parent = os.getpid()
+    start = time.monotonic()
+    serial = _serial("all", DERIVED)
+    serial_s = time.monotonic() - start
+
+    def held(position, fn, *args):
+        time.sleep(sleep)
+        return fn(*args)
+
+    log = tmp_path / "ran"
+    start = time.monotonic()
+    with _by_process(log, in_worker=held):
+        split = _split("all", DERIVED)
+    wall = time.monotonic() - start
     assert split == serial
-    assert [(r.passed, r.witness) for r in split[:4]] == [
-        (False, "tampered"), (False, "tampered"), (False, "ValueError: boom"), (False, "ValueError: boom")
+    ran = _ran(log)
+    worker = [position for pid, position in ran if pid != parent]
+    assert len(worker) == 1
+    assert sorted(position for pid, position in ran if pid == parent) == [
+        i for i in range(len(serial)) if i not in worker
     ]
-    assert all(r.passed for r in split[4:])
+    assert wall < serial_s + sleep
 
 
 class _Stop(BaseException):
@@ -313,30 +441,44 @@ def _stops(*args):
     raise _Stop()
 
 
-def _sleeps_in_the_worker(parent):
-    def check(*args):
-        if os.getpid() != parent:
+def _sleeps_once():
+    """A behaviour that sleeps 60 s in the first check it meets."""
+    slept = []
+
+    def sleeps(position, fn, *args):
+        if not slept:
+            slept.append(True)
             time.sleep(60)
+        return fn(*args)
 
-    return check
+    return sleeps
 
 
-@pytest.mark.parametrize("position", [0, 1], ids=["parent-half", "worker-half"])
-def test_a_base_exception_in_either_half_leaves_no_child(position):
+@needs_two_cpus
+@pytest.mark.parametrize("in_worker", [False, True], ids=["parent-half", "worker-half"])
+def test_a_base_exception_in_either_half_leaves_no_child(in_worker, tmp_path):
     # the parent kills a worker still busy (here asleep) rather than wait for
     # it; a worker leaves on a BaseException without a reply, so the parent
-    # runs its share and meets the exception itself
+    # runs the check the worker held and meets the exception itself
+    log = tmp_path / "ran"
+    parent = os.getpid()
+
+    def stops_where_the_worker_stopped(position, fn, *args):
+        if any(pid != parent and p == position for pid, p in _ran(log)):
+            raise _Stop()
+        return fn(*args)
+
+    behaviour = (stops_where_the_worker_stopped, _stops) if in_worker else (_stops, _sleeps_once())
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    checks = {position: _stops, 3: _sleeps_in_the_worker(os.getpid())}
     start = time.monotonic()
-    with _patched(checks), pytest.raises(_Stop):
+    with _by_process(log, *behaviour), pytest.raises(_Stop):
         verify.run_checks("geometry", DERIVED)
     assert time.monotonic() - start < 30
     _assert_no_child()
     assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
 
 
-@pytest.mark.skipif(not TWO_CPUS, reason="one CPU: run_checks does not fork")
+@needs_two_cpus
 def test_a_fork_that_raises_restores_the_signal_mask():
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     with mock.patch.object(os, "fork", side_effect=_Stop), pytest.raises(_Stop):
@@ -344,18 +486,22 @@ def test_a_fork_that_raises_restores_the_signal_mask():
     assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
 
 
-def test_a_worker_that_dies_is_replaced_by_the_parent():
+@needs_two_cpus
+def test_a_worker_that_dies_is_replaced_by_the_parent(tmp_path):
+    # the worker SIGKILLs itself in the first check it takes; the parent
+    # runs that check again, and every other one
+    log = tmp_path / "ran"
     parent = os.getpid()
 
-    def dies_in_the_worker(*args):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return "ran in the parent"
+    def dies(*args):
+        os.kill(os.getpid(), signal.SIGKILL)
 
-    with _patched({1: dies_in_the_worker}):
-        split, serial = _split("all", DERIVED), _serial("all", DERIVED)
-    assert split == serial
-    assert [r.name for r in split if not r.passed] == ["discriminant-repeated-root-oracle"]
+    with _by_process(log, in_worker=dies):
+        split = _split("all", DERIVED)
+    assert split == _serial("all", DERIVED)
+    ran = _ran(log)
+    assert len([position for pid, position in ran if pid != parent]) == 1
+    assert sorted(position for pid, position in ran if pid == parent) == list(range(len(split)))
 
 
 def test_a_failed_fork_runs_both_halves_in_the_parent():
