@@ -35,8 +35,6 @@ class InputError(ValueError):
 
 
 def _parse_coeffs(values: list[str]) -> list:
-    if len(values) != 4:
-        raise InputError(f"expected 4 rational coefficients, got {len(values)}")
     out = []
     for v in values:
         try:
@@ -147,7 +145,7 @@ def cmd_stabilizer(args) -> int:
     desc = conormal.stabilizer_of_cubic(BinaryCubic(*_parse_coeffs(args.coeffs)))
     payload = desc.to_json()
     human = (
-        f"dimension {desc.dimension}, component group {desc.component_group.value}, "
+        f"dimension {desc.dimension}, component group {desc.component_group}, "
         f"{len(desc.generators)} finite generators"
     )
     _emit(args, payload, human)
@@ -204,7 +202,7 @@ def cmd_stable(args) -> int:
         payload["coefficients"] = list(theta.coefficients)
         names = [p.label() for p in packets.IRREDUCIBLE_ORDER]
     else:
-        coefficients = packets.express_in_standard_modules(theta, packets.DERIVED)
+        coefficients = packets.DERIVED.change_of_basis.row(args.psi)
         payload["coefficients"] = [format_rational(c) for c in coefficients]
         names = ["M0", "M1", "M2", "Theta_psi3"]
     terms = [

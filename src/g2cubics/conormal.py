@@ -17,7 +17,6 @@ and live there.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,12 +45,6 @@ class NotRegularConormal(ValueError):
     """Raised when a point is not on a regular conormal stratum."""
 
 
-class ComponentGroup(enum.Enum):
-    TRIVIAL = "trivial"
-    S2 = "S2"
-    S3 = "S3"
-
-
 @dataclass(frozen=True)
 class ConormalPoint:
     r: BinaryCubic
@@ -61,7 +54,7 @@ class ConormalPoint:
 @dataclass
 class StabilizerDescription:
     dimension: int
-    component_group: ComponentGroup
+    component_group: str  # "trivial", "S2" or "S3"
     generators: list[GroupElement] = field(default_factory=list)
 
     def group_elements(self) -> list[GroupElement]:
@@ -78,7 +71,7 @@ class StabilizerDescription:
     def to_json(self) -> dict:
         return {
             "dimension": self.dimension,
-            "component_group": self.component_group.value,
+            "component_group": self.component_group,
             "generators": [g.to_json() for g in self.generators],
         }
 
@@ -134,9 +127,8 @@ def moment(r: BinaryCubic, s: DualCubic) -> Matrix:
     return Matrix(2, 2, [Fraction(e, den) for e in entries])
 
 
-def _unit_duals(n: int) -> list[DualCubic]:
-    """The first n of the four unit dual cubics (1, 0, 0, 0) .. (0, 0, 0, 1)."""
-    return [DualCubic(*(int(i == j) for i in range(4))) for j in range(n)]
+# the four unit dual cubics (1, 0, 0, 0) .. (0, 0, 0, 1)
+UNIT_DUALS = tuple(DualCubic(*(int(i == j) for i in range(4))) for j in range(4))
 
 
 def conormal_kernel(r: BinaryCubic) -> list[DualCubic]:
@@ -161,7 +153,7 @@ def conormal_kernel(r: BinaryCubic) -> list[DualCubic]:
             return [DualCubic(-3 * t**2, 2 * t, 1, 0), DualCubic(2 * t**3, -t**2, 0, 1)]
     # on C0 every dual cubic; on the line [0:1], f = y and the kernel is
     # spanned by y^3 (and y^2 x on C1): the first 4 - dim unit dual cubics
-    return _unit_duals(4 - orbit.dim)
+    return list(UNIT_DUALS[: 4 - orbit.dim])
 
 
 def dual_orbit_class(i: int) -> OrbitClass:
@@ -281,10 +273,10 @@ def stabilizer_of_cubic(r: BinaryCubic) -> StabilizerDescription:
     orbit = classify(r)
     if orbit is not OrbitClass.C3:
         # connected: no finite part, and the dimension is 4 - dim(orbit)
-        return StabilizerDescription(4 - orbit.dim, ComponentGroup.TRIVIAL, [])
+        return StabilizerDescription(4 - orbit.dim, "trivial", [])
     # t I acts on cubics by t, so one element realizes each permutation of
     # the lines and fixes r: the conjugate of the base element, unscaled
-    return StabilizerDescription(0, ComponentGroup.S3, _conjugates(_line_frame(r), _S3_BASE, r))
+    return StabilizerDescription(0, "S3", _conjugates(_line_frame(r), _S3_BASE, r))
 
 
 def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
@@ -299,5 +291,5 @@ def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
         # the mirror (s, r) lies on stratum 3 - i, and h |-> t(h^{-1}) carries
         # its stabilizer g b g^{-1} to the conjugate of t(b^{-1}) by t(g^{-1})
         g = _line_frame(p.s).inverse().transpose()
-    group = ComponentGroup.S3 if stratum in (0, 3) else ComponentGroup.S2
+    group = "S3" if stratum in (0, 3) else "S2"
     return StabilizerDescription(0, group, _conjugates(g, _BASES[stratum], p.r, p.s))

@@ -32,7 +32,7 @@ class ZeroCubic(ValueError):
 # Internally some routines expand cubics in the plain monomial basis
 #     a0*y^3 + a1*y^2*x + a2*y*x^2 + a3*x^3,
 # related to the twisted coefficients by a = (r0, -3r1, -3r2, -r3).
-# A homogeneous polynomial of degree d is a list of d+1 Fractions, the
+# A homogeneous polynomial of degree d is a list of d+1 ints, the
 # coefficient of y^(d-i)*x^i at index i.
 
 
@@ -566,12 +566,7 @@ def _eval_int(f: list[int], x: int) -> int:
 
 
 def _monic_discriminant(f: list[int]) -> int:
-    """Discriminant of a monic integer polynomial of degree 1, 2 or 3."""
-    if len(f) == 2:
-        return 1
-    if len(f) == 3:
-        c, b, _ = f
-        return b * b - 4 * c
+    """Discriminant of a monic integer cubic, lowest degree first."""
     c, b, a, _ = f
     return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
 

@@ -189,8 +189,8 @@ class Matrix:
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        nums, den = common_denominator([self[i, i] for i in range(self.rows)])
-        return Fraction(sum(nums), den)
+        diagonal = self._entries[:: self.cols + 1]
+        return sum(diagonal[1:], diagonal[0]) if diagonal else Fraction(0)
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self._entries)
@@ -233,8 +233,6 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
     _, pivots = _rref(m.to_rows())
     return len(pivots)
 
@@ -245,10 +243,6 @@ def kernel_basis(m: Matrix) -> list[list[Fraction]]:
     The basis is in the standard RREF form: one vector per free column, with
     a 1 in the free coordinate.  An empty matrix has the full standard basis.
     """
-    if m.rows == 0 or m.cols == 0:
-        return [
-            [Fraction(int(i == j)) for i in range(m.cols)] for j in range(m.cols)
-        ]
     rref, pivots = _rref(m.to_rows())
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
@@ -365,13 +359,9 @@ class Poly:
         if not nums:
             return 0, 1
         acc, bpow = nums[-1], 1
-        if b == 1:
-            for c in nums[-2::-1]:
-                acc = acc * a + c
-        else:
-            for c in nums[-2::-1]:
-                bpow *= b
-                acc = acc * a + c * bpow
+        for c in nums[-2::-1]:
+            bpow *= b
+            acc = acc * a + c * bpow
         return acc, bpow
 
     def __repr__(self):

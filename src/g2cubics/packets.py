@@ -60,27 +60,34 @@ class CharacterTable:
     group: str
     irreducibles: tuple  # names
     classes: tuple  # conjugacy class names
-    values: dict  # (irrep, class) -> int
+    sizes: Mapping  # class -> number of elements
+    values: Mapping  # (irrep, class) -> int
+
+
+def _table(group: str, sizes: dict, rows: dict) -> CharacterTable:
+    """The table of `group` from its class sizes and, per irreducible, its
+    values on the classes in that order."""
+    values = {(chi, c): v for chi, row in rows.items() for c, v in zip(sizes, row)}
+    return CharacterTable(group, tuple(rows), tuple(sizes), MappingProxyType(sizes), MappingProxyType(values))
+
+
+# the component group of each parameter, stated once: a local system's rank
+# is the degree chi(e) of its irreducible, and |G| the sum of the class sizes
+_CHARACTER_TABLES = {
+    table.group: table
+    for table in (
+        _table("S3", {"e": 1, "transposition": 3, "3-cycle": 2},
+               {"1": (1, 1, 1), "rho": (2, 0, -1), "eps": (1, -1, 1)}),
+        _table("S2", {"e": 1, "t": 1}, {"1": (1, 1), "tau": (1, -1)}),
+    )
+}
 
 
 def character_table(group: str) -> CharacterTable:
-    if group == "S3":
-        values = {
-            ("1", "e"): 1, ("1", "transposition"): 1, ("1", "3-cycle"): 1,
-            ("rho", "e"): 2, ("rho", "transposition"): 0, ("rho", "3-cycle"): -1,
-            ("eps", "e"): 1, ("eps", "transposition"): -1, ("eps", "3-cycle"): 1,
-        }
-        return CharacterTable("S3", ("1", "rho", "eps"), ("e", "transposition", "3-cycle"), values)
-    if group == "S2":
-        values = {("1", "e"): 1, ("1", "t"): 1, ("tau", "e"): 1, ("tau", "t"): -1}
-        return CharacterTable("S2", ("1", "tau"), ("e", "t"), values)
-    if group == "trivial":
-        return CharacterTable("trivial", ("1",), ("e",), {("1", "e"): 1})
-    raise ValueError(f"unknown group {group!r}")
+    if group not in _CHARACTER_TABLES:
+        raise ValueError(f"unknown group {group!r}")
+    return _CHARACTER_TABLES[group]
 
-
-# class sizes, for the orthogonality checks
-CLASS_SIZES = {"S3": {"e": 1, "transposition": 3, "3-cycle": 2}, "S2": {"e": 1, "t": 1}}
 
 # local-system labels on a stratum, read as irreducibles of its group
 _LABEL_TO_IRREP = {"one": "1", "T": "tau", "R": "rho", "E": "eps"}

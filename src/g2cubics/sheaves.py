@@ -65,9 +65,6 @@ class SimpleObject(enum.Enum):
 SIMPLE_ORDER = list(SimpleObject)
 ORBITS = list(OrbitClass)
 
-# local-system labels on the regular conormal strata and their ranks
-LOCAL_SYSTEM_RANKS = {"one": 1, "T": 1, "R": 2, "E": 1}
-
 
 class Cover(enum.Enum):
     RHO1 = "rho1"
@@ -75,16 +72,6 @@ class Cover(enum.Enum):
     RHO3 = "rho3"
     RHO3PP = "rho3pp"
     RHOE = "rhoE"
-
-
-# the regular-cover push-forward on each conormal stratum (regular
-# representation of the microlocal group): stratum -> {label: multiplicity}
-REGULAR_COVER_DECOMP = {
-    0: {"one": 1, "R": 2, "E": 1},
-    1: {"one": 1, "T": 1},
-    2: {"one": 1, "T": 1},
-    3: {"one": 1, "R": 2, "E": 1},
-}
 
 
 @dataclass(frozen=True)
@@ -280,10 +267,7 @@ def solve_ic_stalk_ranks(tables: SheafTables) -> dict[tuple[SimpleObject, OrbitC
     def add_equation(coeffs: dict, value: int):
         row = [Fraction(0)] * len(unknowns)
         for key, c in coeffs.items():
-            if key in index:
-                row[index[key]] = Fraction(c)
-            elif c != 0:
-                raise InconsistentSystem(f"support constraint violated at {key}")
+            row[index[key]] = Fraction(c)
         rows.append(row)
         rhs.append(Fraction(value))
 
@@ -334,15 +318,14 @@ def geometric_multiplicity_matrix(ranks: Mapping) -> tuple[tuple[int, ...], ...]
 
     On the closed strata only trivial local systems exist, so the entry is
     the stalk rank; on the open orbit the restriction of a simple object is
-    its own local system.
+    its own local system, a 1 in the object's own column.
     """
-    open_columns = {"triv": SimpleObject.IC1_C3, "refl": SimpleObject.ICR_C3, "sign": SimpleObject.ICE_C3}
     matrix = []
     for obj in SIMPLE_ORDER:
         row = [ranks[(obj, OrbitClass.C0)], ranks[(obj, OrbitClass.C1)], ranks[(obj, OrbitClass.C2)]]
         open_row = [0, 0, 0]
         if obj.support is OrbitClass.C3:
-            open_row[SIMPLE_ORDER.index(open_columns[obj.local_system]) - 3] = 1
+            open_row[SIMPLE_ORDER.index(obj) - 3] = 1
         matrix.append(tuple(row + open_row))
     return tuple(matrix)
 

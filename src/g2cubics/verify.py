@@ -170,14 +170,10 @@ def _has_repeated_root(r: BinaryCubic) -> bool:
     return len(_gcd_poly(_poly_dx(p), _poly_dy(p))) - 1 > 0
 
 
-# the four unit dual cubics (1, 0, 0, 0) .. (0, 0, 0, 1)
-_UNIT_DUALS = tuple(DualCubic(*(int(i == j) for i in range(4))) for j in range(4))
-
-
 def _moment_matrix_of(r: BinaryCubic) -> Matrix:
     """Matrix of the linear map s |-> entries of [r, s] (4 rows, 4 cols):
     column j is `moment` at the j-th unit dual cubic."""
-    columns = [conormal.moment(r, s) for s in _UNIT_DUALS]
+    columns = [conormal.moment(r, s) for s in conormal.UNIT_DUALS]
     return Matrix(4, 4, [m[k // 2, k % 2] for k in range(4) for m in columns])
 
 
@@ -387,7 +383,7 @@ def check_dual_action_matrix(trials: int = 50, seed: int = 112) -> str | None:
     )
     for k in range(trials):
         h = _random_group_element(rng)
-        cols = [list(act_dual(h, e).coeffs) for e in _UNIT_DUALS]
+        cols = [list(act_dual(h, e).coeffs) for e in conormal.UNIT_DUALS]
         dual_matrix = Matrix.from_rows(cols).transpose()
         if act_matrix(h).transpose() @ gram @ dual_matrix != gram:
             return f"trial {k}: dual action matrix mismatch at {h!r}"
@@ -498,8 +494,8 @@ def check_microlocal_orders() -> str | None:
             elems = desc.group_elements()
             if len(elems) != expected[stratum]:
                 return f"stratum {stratum} moved by {g!r}: order {len(elems)} != {expected[stratum]}"
-            if desc.component_group.value != groups[stratum]:
-                return f"stratum {stratum} moved by {g!r}: group {desc.component_group.value}"
+            if desc.component_group != groups[stratum]:
+                return f"stratum {stratum} moved by {g!r}: group {desc.component_group}"
             for h in elems:
                 if act(h, point.r) != point.r or act_dual(h, point.s) != point.s:
                     return f"stratum {stratum} moved by {g!r}: element {h!r} does not fix the pair"
@@ -606,17 +602,19 @@ def check_fourier_involution(derived: Derived) -> str | None:
 
 
 def check_local_system_rank_accounting() -> str | None:
+    """The regular cover of stratum i holds each local system, an
+    irreducible of the group of psi_i, as often as its rank chi(e), so the
+    ranks' squares sum to |G|; so do the class sizes."""
     group_orders = {0: 6, 1: 2, 2: 2, 3: 6}
-    for stratum, decomp in sheaves.REGULAR_COVER_DECOMP.items():
-        # regular representation: multiplicity of each system equals its rank
-        for label, mult in decomp.items():
-            if mult != sheaves.LOCAL_SYSTEM_RANKS[label]:
-                return f"stratum {stratum}: multiplicity of {label} is {mult}"
-        total = sum(
-            mult * sheaves.LOCAL_SYSTEM_RANKS[label] for label, mult in decomp.items()
-        )
-        if total != group_orders[stratum]:
-            return f"stratum {stratum}: total rank {total} != |G| = {group_orders[stratum]}"
+    for meta in rootdata.arthur_parameters():
+        stratum, order = meta.index, group_orders[meta.index]
+        table = packets.character_table(meta.component_group)
+        total = sum(table.values[(chi, "e")] ** 2 for chi in table.irreducibles)
+        if total != order:
+            return f"stratum {stratum}: total rank {total} != |G| = {order}"
+        total = sum(table.sizes.values())
+        if total != order:
+            return f"stratum {stratum}: class sizes sum to {total} != |G| = {order}"
     return None
 
 
@@ -662,12 +660,8 @@ def check_change_of_basis_roundtrip(derived: Derived) -> str | None:
     """The change of basis reproduces the Theta vectors from the standard
     rows and is invertible."""
     m = derived.change_of_basis
-    basis_rows = derived.standard_rows
-    for i, theta in enumerate(derived.stable):
-        recovered = [sum(m[i, k] * basis_rows[k][j] for k in range(4)) for j in range(6)]
-        if recovered != list(theta.coefficients):
-            return "inverse does not round-trip the stable vectors"
-    if rank(m) != m.rows:
+    stable = Matrix.from_rows([theta.coefficients for theta in derived.stable])
+    if m @ Matrix.from_rows(derived.standard_rows) != stable or rank(m) != m.rows:
         return "inverse does not round-trip the stable vectors"
     return None
 
@@ -729,7 +723,7 @@ def check_temperedness_pattern(derived: Derived) -> str | None:
 def check_character_orthogonality() -> str | None:
     for group in ("S3", "S2"):
         table = packets.character_table(group)
-        sizes = packets.CLASS_SIZES[group]
+        sizes = table.sizes
         order = sum(sizes.values())
         for chi1 in table.irreducibles:
             for chi2 in table.irreducibles:

@@ -117,7 +117,7 @@ def test_criterion_5_stabilizers():
     for stratum, point in conormal.canonical_regular_pairs().items():
         desc = conormal.microlocal_stabilizer(point)
         assert len(desc.group_elements()) == micro[stratum]
-        assert desc.component_group.value == groups[stratum]
+        assert desc.component_group == groups[stratum]
     _report(5, "component orders (1,1,1,6) and microlocal orders (6,2,2,6)")
 
 

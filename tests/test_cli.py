@@ -14,7 +14,7 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from g2cubics import cli, linalg
+from g2cubics import cli, linalg, packets
 from g2cubics.cli import CHECK_FAILED, INPUT_ERROR, OK, main
 
 from fraction_reference import line_cubic
@@ -272,6 +272,24 @@ def test_aubert_and_stable(capsys):
         capsys, "--format", "json", "stable", "--psi", "0", "--basis", "standard"
     )
     assert json.loads(out)["coefficients"] == ["1", "1", "-3", "1"]
+
+
+def test_stable_standard_reads_the_derived_change_of_basis(capsys):
+    # the standard-basis coefficients are the row of the change of basis
+    # that `packets.DERIVED` keeps, so a repeated query solves nothing
+    solves = []
+    real = packets.solve
+
+    def counted(*args):
+        solves.append(1)
+        return real(*args)
+
+    with mock.patch.object(packets, "solve", counted):
+        run_cli(capsys, "stable", "--psi", "2", "--basis", "standard")
+        solves.clear()
+        code, out, _ = run_cli(capsys, "--format", "json", "stable", "--psi", "2", "--basis", "standard")
+    assert (code, solves) == (OK, [])
+    assert json.loads(out)["coefficients"] == ["0", "0", "1", "-1"]
 
 
 def test_formal_degree(capsys):

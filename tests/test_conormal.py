@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from g2cubics import cli, conormal, linalg, verify
 from g2cubics.conormal import (
-    ComponentGroup,
     ConormalPoint,
     IrrationalSplitting,
     NotRegularConormal,
@@ -207,17 +206,17 @@ def test_stabilizer_dimension_of_dual_cubics():
 
 def test_stabilizer_descriptions():
     d = stabilizer_of_cubic(BinaryCubic(1, 0, 0, 0))
-    assert (d.dimension, d.component_group) == (2, ComponentGroup.TRIVIAL)
+    assert (d.dimension, d.component_group) == (2, "trivial")
     d = stabilizer_of_cubic(BinaryCubic(0, 1, 0, 0))
-    assert (d.dimension, d.component_group) == (1, ComponentGroup.TRIVIAL)
+    assert (d.dimension, d.component_group) == (1, "trivial")
     d = stabilizer_of_cubic(BinaryCubic(0, 0, 0, 0))
-    assert (d.dimension, d.component_group) == (4, ComponentGroup.TRIVIAL)
+    assert (d.dimension, d.component_group) == (4, "trivial")
 
 
 def test_split_c3_stabilizer_is_s3():
     r = BinaryCubic(*XY_X_PLUS_Y)
     d = stabilizer_of_cubic(r)
-    assert (d.dimension, d.component_group) == (0, ComponentGroup.S3)
+    assert (d.dimension, d.component_group) == (0, "S3")
     elems = d.group_elements()
     assert len(elems) == 6
     assert GroupElement(0, -1, -1, 0) in elems
@@ -236,12 +235,12 @@ def test_non_split_c3_raises():
 
 
 def test_microlocal_orders_at_canonical_pairs():
-    expected = {0: (6, ComponentGroup.S3), 1: (2, ComponentGroup.S2),
-                2: (2, ComponentGroup.S2), 3: (6, ComponentGroup.S3)}
+    expected = {0: (6, "S3"), 1: (2, "S2"),
+                2: (2, "S2"), 3: (6, "S3")}
     for stratum, point in canonical_regular_pairs().items():
         d = microlocal_stabilizer(point)
         order, group = expected[stratum]
-        assert d.component_group is group
+        assert d.component_group == group
         elems = d.group_elements()
         assert len(elems) == order
         for h in elems:
@@ -264,7 +263,7 @@ def test_microlocal_on_translated_pair():
     moved = ConormalPoint(act(h, base.r), act_dual(h, base.s))
     assert in_lambda_regular(moved) == 2
     d = microlocal_stabilizer(moved)
-    assert d.component_group is ComponentGroup.S2
+    assert d.component_group == "S2"
     assert len(d.group_elements()) == 2
 
 
@@ -329,7 +328,7 @@ three_line_cubics = st.builds(
 @example(line_cubic((1, Fraction(10**999 + 7, 3**2000)), (1, 1 - 10**1000), (0, 1)))
 def test_s3_generators_match_the_line_permutation_solve(r):
     got = stabilizer_of_cubic(r)
-    assert (got.dimension, got.component_group) == (0, ComponentGroup.S3)
+    assert (got.dimension, got.component_group) == (0, "S3")
     assert got.to_json()["generators"] == [h.to_json() for h in reference_s3_generators(r)]
 
 
@@ -342,7 +341,7 @@ def test_regular_strata_moved_by_the_group_keep_their_groups():
     rng = random.Random(16)
     pairs = canonical_regular_pairs()
     for stratum in range(4):
-        group, order = (ComponentGroup.S3, 6) if stratum in (0, 3) else (ComponentGroup.S2, 2)
+        group, order = ("S3", 6) if stratum in (0, 3) else ("S2", 2)
         for _ in range(15):
             h = rng_element(rng).inverse() * rng_element(rng)  # fractional entries too
             p = ConormalPoint(act(h, pairs[stratum].r), act_dual(h, pairs[stratum].s))

@@ -8,7 +8,7 @@ A reference is a node of the syntax tree: a name (`act(...)`), an attribute
 strings, comments and longer identifiers do not count, so the method `degree`
 is not kept alive by `formal_degree` or `residual_degree`. A method defined
 in a class is reached only through an attribute, so only attributes count for
-it: a local variable `order` does not keep the method `ComponentGroup.order`
+it: a local variable `label` does not keep the method `Irreducible.label`
 alive. The scan is still by name, so a helper that shares its name with a
 live one (a module function `det` next to a method `GroupElement.det`)
 escapes it.
@@ -24,6 +24,11 @@ the protocol methods `__hash__`, `__repr__`, `__eq__`, `__setattr__` and
 `__delattr__` are exempt. List the functions the sweep never calls with
 
     PYTHONPATH=src python tests/test_dead_helpers.py
+
+and the lines of `src/` it never executes (a report, not a gate: the error
+exits are meant to stay unreached) with
+
+    PYTHONPATH=src python tests/test_dead_helpers.py --lines
 """
 
 import ast
@@ -33,6 +38,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -109,6 +115,30 @@ def _functions() -> dict[tuple[str, int], str]:
     return found
 
 
+def _sweep() -> None:
+    """Run the command sweep; `g2cubics` is imported here, so that a hook
+    installed before the call sees the imports too."""
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    cases = [key.split() for key in golden if "verify" not in key.split()]
+    cases += [["verify", "--scope", scope] for scope in ("sheaves", "packets", "g2")]
+    cases.append(["verify", "--scope", "sheaves", "--tamper-evs"])
+    from g2cubics import cli, packets, verify
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in cases:
+            cli.main(argv)
+    # the worker's calls stay in the worker, so the geometry checks run
+    # once pinned to one CPU, which is serial and reaches every check
+    # body, and once as found, which reaches the fork and the merge
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    try:
+        verify.run_checks("geometry", packets.DERIVED)
+    finally:
+        os.sched_setaffinity(0, affinity)
+    verify.run_checks("geometry", packets.DERIVED)
+
+
 def _unreached() -> list[str]:
     """The functions of the package that the command sweep never calls; run
     it in a process that has not imported `g2cubics` yet."""
@@ -118,27 +148,9 @@ def _unreached() -> list[str]:
         if event == "call":
             called.add(frame.f_code)
 
-    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
-    cases = [key.split() for key in golden if "verify" not in key.split()]
-    cases += [["verify", "--scope", scope] for scope in ("sheaves", "packets", "g2")]
-    cases.append(["verify", "--scope", "sheaves", "--tamper-evs"])
     sys.setprofile(record)
     try:
-        from g2cubics import cli, packets, verify
-
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            for argv in cases:
-                cli.main(argv)
-        # the worker's calls stay in the worker, so the geometry checks run
-        # once pinned to one CPU, which is serial and reaches every check
-        # body, and once as found, which reaches the fork and the merge
-        affinity = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {min(affinity)})
-        try:
-            verify.run_checks("geometry", packets.DERIVED)
-        finally:
-            os.sched_setaffinity(0, affinity)
-        verify.run_checks("geometry", packets.DERIVED)
+        _sweep()
     finally:
         sys.setprofile(None)
     reached = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in called}
@@ -147,6 +159,52 @@ def _unreached() -> list[str]:
         for (path, line), name in sorted(_functions().items())
         if (path, line) not in reached
     ]
+
+
+def _code_lines(code: types.CodeType) -> set[int]:
+    """The line numbers of a code object and of the code objects in it; a
+    module's code has a line 0 of its own, which is left out."""
+    lines = {line for _, _, line in code.co_lines() if line}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            lines |= _code_lines(const)
+    return lines
+
+
+def _unexecuted_lines() -> list[str]:
+    """The lines of the package that the command sweep never executes, by
+    `sys.settrace`; run it in a process that has not imported `g2cubics`
+    yet."""
+    executed = set()
+    paths = {}  # co_filename -> resolved path, or None outside the package
+
+    def in_package(code):
+        if code.co_filename not in paths:
+            path = Path(code.co_filename).resolve()
+            paths[code.co_filename] = str(path) if path.is_relative_to(PACKAGE) else None
+        return paths[code.co_filename]
+
+    def line(frame, event, arg):
+        if event == "line":
+            executed.add((paths[frame.f_code.co_filename], frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        return line if in_package(frame.f_code) else None
+
+    sys.settrace(call)
+    try:
+        _sweep()
+    finally:
+        sys.settrace(None)
+    out = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        source = path.read_text()
+        text = source.splitlines()
+        for n in sorted(_code_lines(compile(source, str(path), "exec"))):
+            if (str(path), n) not in executed:
+                out.append(f"{path.relative_to(ROOT)}:{n} {text[n - 1].strip()}")
+    return out
 
 
 def test_every_function_is_called_by_a_command():
@@ -158,6 +216,7 @@ def test_every_function_is_called_by_a_command():
 
 
 if __name__ == "__main__":
-    unreached = _unreached()
-    sys.stdout.write("".join(f"{entry}\n" for entry in unreached))
-    sys.exit(1 if unreached else 0)
+    report_lines = sys.argv[1:] == ["--lines"]
+    entries = _unexecuted_lines() if report_lines else _unreached()
+    sys.stdout.write("".join(f"{entry}\n" for entry in entries))
+    sys.exit(1 if entries and not report_lines else 0)

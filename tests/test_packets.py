@@ -1,7 +1,6 @@
 import pytest
 
 from g2cubics.packets import (
-    CLASS_SIZES,
     DERIVED,
     EXPECTED_CHANGE_OF_BASIS,
     EXPECTED_PACKETS,
@@ -139,14 +138,23 @@ def test_character_tables():
     assert s3.values[("eps", "transposition")] == -1
     s2 = character_table("S2")
     assert s2.values[("tau", "t")] == -1
+    assert dict(s3.sizes) == {"e": 1, "transposition": 3, "3-cycle": 2}
+    assert dict(s2.sizes) == {"e": 1, "t": 1}
     with pytest.raises(ValueError):
         character_table("S4")
+
+
+def test_the_trivial_group_has_no_table():
+    # stabilizers off the open orbit are connected, but no parameter's
+    # component group is trivial, so no character table is stated for it
+    with pytest.raises(ValueError, match="unknown group 'trivial'"):
+        character_table("trivial")
 
 
 def test_character_orthogonality():
     for group in ("S3", "S2"):
         table = character_table(group)
-        sizes = CLASS_SIZES[group]
+        sizes = table.sizes
         order = sum(sizes.values())
         for chi1 in table.irreducibles:
             for chi2 in table.irreducibles:

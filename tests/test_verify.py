@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from g2cubics import conormal, linalg, verify
+from g2cubics import conormal, linalg, packets, verify
 from g2cubics.cubics import BinaryCubic, DualCubic, GroupElement, OrbitClass, classify, to_plain
 from g2cubics.linalg import format_rational
 from g2cubics.packets import DERIVED, Derived
@@ -97,6 +97,34 @@ def test_geometry_checks_catch_a_tampered_dimension(module, name, tamper, failin
     with mock.patch.object(module, name, tamper(getattr(module, name))):
         results = verify.run_checks("geometry", DERIVED)
     assert {r.name for r in results if not r.passed} == failing
+
+
+def _s3_changed(field, key, value):
+    """A `packets.character_table` whose S3 table has one entry of `field`
+    changed."""
+    real = packets.character_table
+
+    def table(group):
+        got = real(group)
+        if group != "S3":
+            return got
+        return dataclasses.replace(got, **{field: {**getattr(got, field), key: value}})
+
+    return table
+
+
+@pytest.mark.parametrize(
+    "field, key, value, witness",
+    [
+        ("values", ("rho", "e"), 1, "stratum 0: total rank 3 != |G| = 6"),
+        ("sizes", "transposition", 2, "stratum 0: class sizes sum to 5 != |G| = 6"),
+    ],
+)
+def test_rank_accounting_reads_the_character_tables(field, key, value, witness):
+    # the local systems' ranks are the character degrees chi(e) of the
+    # table of each parameter's group, not constants of their own
+    with mock.patch.object(packets, "character_table", _s3_changed(field, key, value)):
+        assert verify.check_local_system_rank_accounting() == witness
 
 
 def test_every_table_check_reads_its_tables():
@@ -252,6 +280,7 @@ def test_random_operands_are_never_cleared():
         verify.check_pairing_invariance,
         verify.check_classify_invariance,
         verify.check_discriminant_oracle,
+        verify.check_pairing_trace,
     ):
         assert _clears(check, 100) == 0
 
