@@ -198,11 +198,13 @@ _S3_BASE = (
     GroupElement(-1, -1, 0, 1),
 )
 
-# base stabilizers on strata 2 and 3: of the canonical pair (-3 x y^2, -x^3),
-# whose double line is [1:0] and simple line [0:1], and of y x (x - y);
-# strata 0 and 1 take the mirrors t(b^{-1}) of those on strata 3 and 2
-_BASES = {2: (GroupElement.diagonal(-1, 1),), 3: _S3_BASE}
-_BASES.update({i: tuple(b.inverse().transpose() for b in _BASES[3 - i]) for i in (0, 1)})
+# (group name, base stabilizer) on strata 2 and 3: of the canonical pair
+# (-3 x y^2, -x^3), whose double line is [1:0] and simple line [0:1], and of
+# y x (x - y); strata 0 and 1 take the group and mirrors t(b^{-1}) of 3 and 2
+_BASES = {2: ("S2", (GroupElement.diagonal(-1, 1),)), 3: ("S3", _S3_BASE)}
+_BASES.update(
+    {3 - i: (group, tuple(b.inverse().transpose() for b in base)) for i, (group, base) in _BASES.items()}
+)
 
 
 def _conjugates(
@@ -276,7 +278,8 @@ def stabilizer_of_cubic(r: BinaryCubic) -> StabilizerDescription:
         return StabilizerDescription(4 - orbit.dim, "trivial", [])
     # t I acts on cubics by t, so one element realizes each permutation of
     # the lines and fixes r: the conjugate of the base element, unscaled
-    return StabilizerDescription(0, "S3", _conjugates(_line_frame(r), _S3_BASE, r))
+    group, base = _BASES[3]
+    return StabilizerDescription(0, group, _conjugates(_line_frame(r), base, r))
 
 
 def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
@@ -291,5 +294,5 @@ def microlocal_stabilizer(p: ConormalPoint) -> StabilizerDescription:
         # the mirror (s, r) lies on stratum 3 - i, and h |-> t(h^{-1}) carries
         # its stabilizer g b g^{-1} to the conjugate of t(b^{-1}) by t(g^{-1})
         g = _line_frame(p.s).inverse().transpose()
-    group = "S3" if stratum in (0, 3) else "S2"
-    return StabilizerDescription(0, group, _conjugates(g, _BASES[stratum], p.r, p.s))
+    group, base = _BASES[stratum]
+    return StabilizerDescription(0, group, _conjugates(g, base, p.r, p.s))

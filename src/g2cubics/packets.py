@@ -107,12 +107,8 @@ EXPECTED_PACKETS = {
 
 
 def l_packet(phi: int) -> set[Irreducible]:
-    return {
-        0: {Irreducible.PI0},
-        1: {Irreducible.PI1},
-        2: {Irreducible.PI2},
-        3: {Irreducible.PI3, Irreducible.PI3R, Irreducible.PI3E},
-    }[phi]
+    """The irreducibles whose simple objects are supported on orbit phi."""
+    return {llc(obj) for obj in SIMPLE_ORDER if obj.support.value == phi}
 
 
 def pairing_character(psi: int, pi: Irreducible, derived: Derived) -> str | None:
@@ -131,14 +127,10 @@ def stable_virtual_character(psi: int, derived: Derived) -> VirtualCharacter:
     """Integer combination of irreducibles with coefficients evaluated at s_psi."""
     meta = arthur_parameters()[psi]
     table = character_table(meta.component_group)
-    if meta.s_psi_image == 1:
-        klass = "e"
-    else:
-        klass = "t" if meta.component_group == "S2" else "transposition"
     coeffs = []
     for pi in IRREDUCIBLE_ORDER:
         irrep = pairing_character(psi, pi, derived)
-        coeffs.append(0 if irrep is None else table.values[(irrep, klass)])
+        coeffs.append(0 if irrep is None else table.values[(irrep, meta.s_psi_class)])
     return VirtualCharacter("irreducible", tuple(coeffs))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Poly, RationalFunctionQ, eval_q
 
@@ -44,8 +43,8 @@ class TorusExponentPair:
 @dataclass(frozen=True)
 class ArthurParamMeta:
     index: int
-    component_group: str  # "S3" or "S2"
-    s_psi_image: int  # +1 or -1
+    component_group: str  # "S3" or "S2", named as in `packets.character_table`
+    s_psi_class: str  # the class of s_psi in that group's character table
     swap_partner: int
 
 
@@ -162,12 +161,13 @@ def frobenius_torus_selfcheck() -> dict:
 
 
 def arthur_parameters() -> list[ArthurParamMeta]:
-    """Metadata for the four Arthur parameters with this infinitesimal class."""
+    """Metadata for the four Arthur parameters with this infinitesimal class,
+    one record per conormal stratum: A_psi_i is the stabilizer of stratum i."""
     return [
-        ArthurParamMeta(0, "S3", 1, 3),
-        ArthurParamMeta(1, "S2", -1, 2),
-        ArthurParamMeta(2, "S2", -1, 1),
-        ArthurParamMeta(3, "S3", 1, 0),
+        ArthurParamMeta(0, "S3", "e", 3),
+        ArthurParamMeta(1, "S2", "t", 2),
+        ArthurParamMeta(2, "S2", "t", 1),
+        ArthurParamMeta(3, "S3", "e", 0),
     ]
 
 
@@ -194,10 +194,7 @@ class AdjointGammaData:
 
     def epsilon_power(self, s: int) -> RationalFunctionQ:
         """epsilon(s, Ad) = q^{10(1/2 - s)} at an integer s; q^5 at s = 0."""
-        exponent = 10 * Fraction(1, 2) - 10 * s
-        if exponent.denominator != 1:
-            raise ValueError("epsilon specialization is not a q-power here")
-        return RationalFunctionQ(Poly.q(), Poly.const(1)) ** int(exponent)
+        return RationalFunctionQ(Poly.q(), Poly.const(1)) ** (5 - 10 * s)
 
 
 @functools.cache

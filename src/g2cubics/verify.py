@@ -480,10 +480,17 @@ def check_stabilizer_orders() -> str | None:
     return None
 
 
+# the order of each component group, by the name the character tables use
+_GROUP_ORDERS = {"S3": 6, "S2": 2}
+
+
 def check_microlocal_orders() -> str | None:
-    expected = {0: 6, 1: 2, 2: 2, 3: 6}
-    groups = {0: "S3", 1: "S2", 2: "S2", 3: "S3"}
+    """The stabilizer of stratum i is A_psi_i: the group of the i-th Arthur
+    parameter, named as the record names it, of that group's order."""
+    metas = rootdata.arthur_parameters()
     for stratum, base in conormal.canonical_regular_pairs().items():
+        group = metas[stratum].component_group
+        order = _GROUP_ORDERS[group]
         # the dimension is constant on the stratum: solved once, on the canonical pair
         solved = _stabilizer_dimension(base.r, base.s)
         for g in _FRAMES:
@@ -492,9 +499,9 @@ def check_microlocal_orders() -> str | None:
             if desc.dimension != solved:
                 return f"stratum {stratum} moved by {g!r}: dimension {desc.dimension} != solved {solved}"
             elems = desc.group_elements()
-            if len(elems) != expected[stratum]:
-                return f"stratum {stratum} moved by {g!r}: order {len(elems)} != {expected[stratum]}"
-            if desc.component_group != groups[stratum]:
+            if len(elems) != order:
+                return f"stratum {stratum} moved by {g!r}: order {len(elems)} != {order}"
+            if desc.component_group != group:
                 return f"stratum {stratum} moved by {g!r}: group {desc.component_group}"
             for h in elems:
                 if act(h, point.r) != point.r or act_dual(h, point.s) != point.s:
@@ -581,14 +588,8 @@ def check_nevs_derivation(derived: Derived) -> str | None:
 
 
 def check_nevs_diagonal(derived: Derived) -> str | None:
-    diag = {
-        sheaves.SimpleObject.IC1_C0: 0,
-        sheaves.SimpleObject.IC1_C1: 1,
-        sheaves.SimpleObject.IC1_C2: 2,
-        sheaves.SimpleObject.IC1_C3: 3,
-    }
-    for obj, stratum in diag.items():
-        if derived.nevs(obj).get(stratum) != "one":
+    for obj in sheaves.SIMPLE_ORDER:
+        if obj.local_system == "triv" and derived.nevs(obj).get(obj.support.value) != "one":
             return f"{obj.name}: normalised diagonal entry is not trivial"
     return None
 
@@ -605,9 +606,8 @@ def check_local_system_rank_accounting() -> str | None:
     """The regular cover of stratum i holds each local system, an
     irreducible of the group of psi_i, as often as its rank chi(e), so the
     ranks' squares sum to |G|; so do the class sizes."""
-    group_orders = {0: 6, 1: 2, 2: 2, 3: 6}
     for meta in rootdata.arthur_parameters():
-        stratum, order = meta.index, group_orders[meta.index]
+        stratum, order = meta.index, _GROUP_ORDERS[meta.component_group]
         table = packets.character_table(meta.component_group)
         total = sum(table.values[(chi, "e")] ** 2 for chi in table.irreducibles)
         if total != order:
@@ -690,7 +690,8 @@ def check_aubert(derived: Derived) -> str | None:
 
 
 def check_aubert_packet_swap(derived: Derived) -> str | None:
-    for a, b in ((0, 3), (1, 2)):
+    pairs = [(m.index, m.swap_partner) for m in rootdata.arthur_parameters() if m.index < m.swap_partner]
+    for a, b in pairs:
         image = {packets.aubert(pi, derived) for pi in derived.packets[a]}
         if image != derived.packets[b]:
             return f"psi{a} does not map onto psi{b}"
@@ -702,7 +703,7 @@ def check_temperedness_pattern(derived: Derived) -> str | None:
     if not all(pi.tempered for pi in p[3]):
         return "packet 3 contains a non-tempered member"
     chars3 = {packets.pairing_character(3, pi, derived) for pi in p[3]}
-    if chars3 != {"1", "rho", "eps"}:
+    if chars3 != set(packets.character_table("S3").irreducibles):
         return "packet 3 pairing is not bijective onto the S3 dual"
     for psi in (0, 1, 2):
         if all(pi.tempered for pi in p[psi]):
@@ -721,10 +722,9 @@ def check_temperedness_pattern(derived: Derived) -> str | None:
 
 
 def check_character_orthogonality() -> str | None:
-    for group in ("S3", "S2"):
+    for group, order in _GROUP_ORDERS.items():
         table = packets.character_table(group)
         sizes = table.sizes
-        order = sum(sizes.values())
         for chi1 in table.irreducibles:
             for chi2 in table.irreducibles:
                 total = sum(
@@ -806,7 +806,7 @@ def check_arthur_metadata() -> str | None:
     metas = rootdata.arthur_parameters()
     if [m.component_group for m in metas] != ["S3", "S2", "S2", "S3"]:
         return "component groups wrong"
-    if [m.s_psi_image for m in metas] != [1, -1, -1, 1]:
+    if [m.s_psi_class for m in metas] != ["e", "t", "t", "e"]:
         return "s_psi images wrong"
     if [m.swap_partner for m in metas] != [3, 2, 1, 0]:
         return "swap partners wrong"

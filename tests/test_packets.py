@@ -55,6 +55,8 @@ def test_packet_examples():
 
 
 def test_l_packets_and_containment():
+    assert l_packet(0) == {Irreducible.PI0}
+    assert l_packet(1) == {Irreducible.PI1}
     assert l_packet(2) == {Irreducible.PI2}
     assert l_packet(3) == {Irreducible.PI3, Irreducible.PI3R, Irreducible.PI3E}
     for i in range(4):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from g2cubics.linalg import eval_q
+from g2cubics.packets import character_table
 from g2cubics.rootdata import (
     NonPositive,
     Root,
@@ -94,9 +95,15 @@ def test_frobenius_torus_selfcheck():
 def test_arthur_parameters():
     metas = arthur_parameters()
     assert [m.component_group for m in metas] == ["S3", "S2", "S2", "S3"]
-    assert [m.s_psi_image for m in metas] == [1, -1, -1, 1]
+    assert [m.s_psi_class for m in metas] == ["e", "t", "t", "e"]
     assert metas[1].swap_partner == 2
     assert metas[0].swap_partner == 3
+
+
+def test_each_s_psi_class_is_a_class_of_its_group():
+    # stable_virtual_character evaluates the pairing characters on this class
+    for meta in arthur_parameters():
+        assert meta.s_psi_class in character_table(meta.component_group).classes
 
 
 def test_formal_degree_values():

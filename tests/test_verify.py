@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from g2cubics import conormal, linalg, packets, verify
+from g2cubics import conormal, linalg, packets, rootdata, verify
 from g2cubics.cubics import BinaryCubic, DualCubic, GroupElement, OrbitClass, classify, to_plain
 from g2cubics.linalg import format_rational
 from g2cubics.packets import DERIVED, Derived
@@ -97,6 +97,28 @@ def test_geometry_checks_catch_a_tampered_dimension(module, name, tamper, failin
     with mock.patch.object(module, name, tamper(getattr(module, name))):
         results = verify.run_checks("geometry", DERIVED)
     assert {r.name for r in results if not r.passed} == failing
+
+
+def test_microlocal_orders_compare_the_geometry_with_the_arthur_record():
+    # the stabilizer of stratum i must be A_psi_i: a group name that drifts
+    # on the geometric side, or on the Arthur side, fails the check
+    real = rootdata.arthur_parameters
+
+    def psi1_in_s3():
+        metas = real()
+        metas[1] = dataclasses.replace(metas[1], component_group="S3")
+        return metas
+
+    _, base = conormal._BASES[2]
+    with mock.patch.dict(conormal._BASES, {2: ("S3", base)}):
+        assert verify.check_microlocal_orders() == (
+            "stratum 2 moved by GroupElement([[1, 0], [0, 1]]): group S3"
+        )
+    with mock.patch.object(rootdata, "arthur_parameters", psi1_in_s3):
+        assert verify.check_microlocal_orders() == (
+            "stratum 1 moved by GroupElement([[1, 0], [0, 1]]): order 2 != 6"
+        )
+    assert verify.check_microlocal_orders() is None
 
 
 def _s3_changed(field, key, value):
