@@ -199,7 +199,7 @@ def cmd_stable(args) -> int:
     theta = packets.DERIVED.stable[args.psi]
     payload = {"psi": args.psi, "basis": args.basis}
     if args.basis == "irred":
-        payload["coefficients"] = list(theta.coefficients)
+        payload["coefficients"] = list(theta)
         names = [p.label() for p in packets.IRREDUCIBLE_ORDER]
     else:
         coefficients = packets.DERIVED.change_of_basis.row(args.psi)

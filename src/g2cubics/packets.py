@@ -117,21 +117,16 @@ def pairing_character(psi: int, pi: Irreducible, derived: Derived) -> str | None
     return None if label is None else _LABEL_TO_IRREP[label]
 
 
-@dataclass(frozen=True)
-class VirtualCharacter:
-    basis: str  # "irreducible" or "standard"
-    coefficients: tuple
-
-
-def stable_virtual_character(psi: int, derived: Derived) -> VirtualCharacter:
-    """Integer combination of irreducibles with coefficients evaluated at s_psi."""
+def stable_virtual_character(psi: int, derived: Derived) -> tuple[int, ...]:
+    """Coefficients over IRREDUCIBLE_ORDER of the integer combination of
+    irreducibles, the pairing characters evaluated at s_psi."""
     meta = arthur_parameters()[psi]
     table = character_table(meta.component_group)
     coeffs = []
     for pi in IRREDUCIBLE_ORDER:
         irrep = pairing_character(psi, pi, derived)
         coeffs.append(0 if irrep is None else table.values[(irrep, meta.s_psi_class)])
-    return VirtualCharacter("irreducible", tuple(coeffs))
+    return tuple(coeffs)
 
 
 EXPECTED_STABLE = {
@@ -142,12 +137,11 @@ EXPECTED_STABLE = {
 }
 
 
-def express_in_standard_modules(v: VirtualCharacter, derived: Derived) -> tuple[Fraction, ...]:
-    """Coefficients of v over (M0, M1, M2, Theta_psi3); exact solve."""
-    if v.basis != "irreducible":
-        raise ValueError("expected a virtual character in the irreducible basis")
+def express_in_standard_modules(v: tuple[int, ...], derived: Derived) -> tuple[Fraction, ...]:
+    """Coefficients over (M0, M1, M2, Theta_psi3) of the virtual character
+    with coefficients v over the irreducibles; exact solve."""
     m = Matrix.from_rows(derived.standard_rows).transpose()  # 6x4: columns are the basis
-    x = solve(m, list(v.coefficients))
+    x = solve(m, list(v))
     if x is None:
         raise NotInSpan(f"{v} is not in the span of the four stable distributions")
     return tuple(x)
@@ -206,13 +200,13 @@ class Derived:
         return tuple(packet(psi, self) for psi in range(4))
 
     @cached_property
-    def stable(self) -> tuple[VirtualCharacter, ...]:
+    def stable(self) -> tuple[tuple[int, ...], ...]:
         return tuple(stable_virtual_character(psi, self) for psi in range(4))
 
     @cached_property
     def standard_rows(self) -> tuple[tuple[int, ...], ...]:
         """The basis (M0, M1, M2, Theta_psi3) written over the irreducibles."""
-        return (*self.tables.rep_multiplicity[:3], self.stable[3].coefficients)
+        return (*self.tables.rep_multiplicity[:3], self.stable[3])
 
     @cached_property
     def change_of_basis(self) -> Matrix:

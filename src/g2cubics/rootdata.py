@@ -1,9 +1,12 @@
 """Root data for G2 and its dual, torus weights, and formal-degree functions.
 
-Roots are written a*alpha + b*beta in the simple-root basis of the chosen
-side.  On the dual side alpha is the long simple root; torus elements are
-tracked as exponent pairs (e1, e2) standing for m(q^e1, q^e2) in the fixed
-coordinates, on which the simple roots act by
+The dual side is stated once, with alpha the long simple root: its positive
+roots with their coroots, and its Cartan matrix. The G2 side is read from it
+by Langlands duality: the positive roots of G2 (alpha short) are the dual
+coroots, and its Cartan matrix is the transpose of the dual one. Roots are
+written a*alpha + b*beta in the simple-root basis of their side; torus
+elements are tracked as exponent pairs (e1, e2) standing for m(q^e1, q^e2)
+in the fixed coordinates, on which the simple roots act by
 
     alpha(m(x, y)) = x^{-1} y^2,     beta(m(x, y)) = x y^{-1}.
 """
@@ -16,22 +19,13 @@ from dataclasses import dataclass
 from .linalg import Poly, RationalFunctionQ, eval_q
 
 
-class WrongSide(ValueError):
-    """Raised when a root from the wrong side of the duality is supplied."""
-
-
-class NonPositive(ValueError):
-    """Raised when a positive root is required."""
-
-
 @dataclass(frozen=True)
 class Root:
     a: int
     b: int
-    side: str = "dual"  # "dual" (alpha long) or "g2" (alpha short)
 
     def __neg__(self) -> "Root":
-        return Root(-self.a, -self.b, self.side)
+        return Root(-self.a, -self.b)
 
 
 @dataclass(frozen=True)
@@ -48,36 +42,42 @@ class ArthurParamMeta:
     swap_partner: int
 
 
-_POSITIVE_DUAL = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
-_POSITIVE_G2 = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
+# The positive dual roots, in listing order, each with its coroot in the
+# simple-coroot basis.
+_COROOTS = {
+    (1, 0): (1, 0),
+    (0, 1): (0, 1),
+    (1, 1): (3, 1),
+    (1, 2): (3, 2),
+    (1, 3): (1, 1),
+    (2, 3): (2, 1),
+}
+
+# Rows/columns ordered (alpha, beta): entry (i, j) is <root i, coroot j>.
+_CARTAN_DUAL = ((2, -3), (-1, 2))
 
 
 def positive_roots(side: str = "dual") -> list[Root]:
-    if side == "dual":
-        return [Root(a, b, "dual") for a, b in _POSITIVE_DUAL]
+    """The positive roots of the dual group, or of G2 (its coroots) by height."""
     if side == "g2":
-        return [Root(a, b, "g2") for a, b in _POSITIVE_G2]
-    raise ValueError(f"unknown side {side!r}")
+        return [Root(a, b) for a, b in sorted(_COROOTS.values(), key=sum)]
+    return [Root(a, b) for a, b in _COROOTS]
 
 
-def all_roots(side: str = "dual") -> list[Root]:
-    pos = positive_roots(side)
+def all_roots() -> list[Root]:
+    pos = positive_roots()
     return pos + [-r for r in pos]
 
 
 def cartan_matrix(side: str) -> list[list[int]]:
-    """Rows/columns ordered (alpha, beta); the two sides are transposes."""
+    """Rows/columns ordered (alpha, beta); the G2 matrix is the transpose."""
     if side == "g2":
-        return [[2, -1], [-3, 2]]
-    if side == "dual":
-        return [[2, -3], [-1, 2]]
-    raise ValueError(f"unknown side {side!r}")
+        return [list(column) for column in zip(*_CARTAN_DUAL)]
+    return [list(row) for row in _CARTAN_DUAL]
 
 
 def root_weight(gamma: Root, t: TorusExponentPair) -> int:
     """Exponent of q in gamma(m(q^e1, q^e2)) for a dual-side root."""
-    if gamma.side != "dual":
-        raise WrongSide("torus weights are defined on the dual side")
     return gamma.a * (-t.e1 + 2 * t.e2) + gamma.b * (t.e1 - t.e2)
 
 
@@ -93,27 +93,12 @@ def weight_space(exponent: int) -> list[Root]:
     and weight 0 carries +/-beta (the two-dimensional Cartan is tracked
     separately by convention).
     """
-    return [r for r in all_roots("dual") if root_weight(r, FROBENIUS_TORUS) == exponent]
-
-
-_COROOTS = {
-    (1, 0): (1, 0),
-    (0, 1): (0, 1),
-    (1, 1): (3, 1),
-    (1, 2): (3, 2),
-    (1, 3): (1, 1),
-    (2, 3): (2, 1),
-}
+    return [r for r in all_roots() if root_weight(r, FROBENIUS_TORUS) == exponent]
 
 
 def coroot(gamma: Root) -> tuple[int, int]:
     """Coroot of a positive dual-side root, in the simple-coroot basis."""
-    if gamma.side != "dual":
-        raise WrongSide("coroot table is stated for the dual side")
-    key = (gamma.a, gamma.b)
-    if key not in _COROOTS:
-        raise NonPositive(f"{gamma} is not a positive root")
-    return _COROOTS[key]
+    return _COROOTS[(gamma.a, gamma.b)]
 
 
 def coroot_torus_exponents(coroot_pair: tuple[int, int]) -> TorusExponentPair:
@@ -130,34 +115,15 @@ def root_coroot_pairing(gamma: Root, delta: Root) -> int:
     return root_weight(gamma, coroot_torus_exponents(coroot(delta)))
 
 
-def frobenius_torus_selfcheck() -> dict:
-    """Reconcile the three expressions for the Frobenius torus element.
+def frobenius_torus_selfcheck() -> tuple[TorusExponentPair, TorusExponentPair]:
+    """The composites h_alpha(q^2) h_beta(q) and h_alpha(q) h_beta(q^2).
 
-    The coroot form (2 alpha^vee + beta^vee)(q) gives m(q, q), matching the
-    explicit unramified-parameter value.  The composite h_alpha(q) h_beta(q^2)
-    evaluates to m(q^2, q^{-1}) in these coordinates, which does not match;
-    swapping the two arguments does.  The m(q, q) value is normative.
+    The first is the coroot form (2 alpha^vee + beta^vee)(q) and gives
+    m(q, q), matching the explicit unramified-parameter value. The second
+    evaluates to m(q^2, q^{-1}) in these coordinates, which does not match.
+    The m(q, q) value is normative.
     """
-    e_alpha = coroot_torus_exponents((1, 0))  # alpha^vee(q)
-    e_beta = coroot_torus_exponents((0, 1))  # beta^vee(q)
-
-    def combine(*pairs_with_mult):
-        e1 = sum(m * p.e1 for p, m in pairs_with_mult)
-        e2 = sum(m * p.e2 for p, m in pairs_with_mult)
-        return TorusExponentPair(e1, e2)
-
-    coroot_form = combine((e_alpha, 2), (e_beta, 1))  # (2a^vee + b^vee)(q)
-    stated = combine((e_alpha, 1), (e_beta, 2))  # h_alpha(q) h_beta(q^2)
-    swapped = combine((e_alpha, 2), (e_beta, 1))  # h_alpha(q^2) h_beta(q)
-    return {
-        "normative": FROBENIUS_TORUS,
-        "coroot_form": coroot_form,
-        "stated_composite": stated,
-        "swapped_composite": swapped,
-        "coroot_form_matches": coroot_form == FROBENIUS_TORUS,
-        "stated_matches": stated == FROBENIUS_TORUS,
-        "swapped_matches": swapped == FROBENIUS_TORUS,
-    }
+    return coroot_torus_exponents((2, 1)), coroot_torus_exponents((1, 2))
 
 
 def arthur_parameters() -> list[ArthurParamMeta]:
@@ -184,8 +150,6 @@ class AdjointGammaData:
     def l_factor(self, s: int) -> RationalFunctionQ:
         """L(s, Ad) = 1/((1 - q^{-s-2})(1 - q^{-s-1})^3) at an integer s >= 0,
         cleared into a ratio of polynomials in q."""
-        if s < 0:
-            raise ValueError("specialize at a nonnegative integer")
         q = Poly.q()
         one = Poly.const(1)
         num = q ** (4 * s + 5)

@@ -120,7 +120,8 @@ def default_tables() -> SheafTables:
             },
         },
         # total cohomology ranks of cover fibers, per orbit (C0, C1, C2, C3).
-        # The rhoE row is derived from its decomposition; the others are encoded.
+        # Every row is encoded. The stalk solve leaves the rhoE row out, and
+        # `rhoE-redundant-equations` checks it against the solved ranks.
         fiber_ranks={
             Cover.RHO1: {OrbitClass.C0: 2, OrbitClass.C1: 1, OrbitClass.C2: 0, OrbitClass.C3: 0},
             Cover.RHO2: {OrbitClass.C0: 2, OrbitClass.C1: 1, OrbitClass.C2: 1, OrbitClass.C3: 0},

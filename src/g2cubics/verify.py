@@ -402,17 +402,21 @@ _FRAMES = (
 )
 
 
+# the codimension of each orbit: the dimension of its conormal fiber and of
+# the stabilizer of each of its points
+_CODIMENSIONS = {OrbitClass.C0: 4, OrbitClass.C1: 2, OrbitClass.C2: 1, OrbitClass.C3: 0}
+
+
 def check_conormal_kernel_dims() -> str | None:
     """The exact kernel of each moved representative's moment matrix has the
     expected dimension, and `conormal_kernel` returns that basis."""
-    expected = {OrbitClass.C0: 4, OrbitClass.C1: 2, OrbitClass.C2: 1, OrbitClass.C3: 0}
     for g in _FRAMES:
         for orbit, rep in REPRESENTATIVES.items():
             r = act(g, rep)
             solved = [DualCubic(*v) for v in kernel_basis(_moment_matrix_of(r))]
             got = len(solved)
-            if got != expected[orbit]:
-                return f"{orbit} moved by {g!r}: kernel dim {got} != {expected[orbit]}"
+            if got != _CODIMENSIONS[orbit]:
+                return f"{orbit} moved by {g!r}: kernel dim {got} != {_CODIMENSIONS[orbit]}"
             if got + orbit.dim != 4:
                 return f"{orbit} moved by {g!r}: kernel dim + orbit dim != 4"
             if conormal.conormal_kernel(r) != solved:
@@ -459,7 +463,6 @@ def check_conormal_kernel_equivariance(trials: int = 100, seed: int = 113) -> st
 
 
 def check_stabilizer_orders() -> str | None:
-    expected_dims = {OrbitClass.C0: 4, OrbitClass.C1: 2, OrbitClass.C2: 1, OrbitClass.C3: 0}
     expected_orders = {OrbitClass.C0: 1, OrbitClass.C1: 1, OrbitClass.C2: 1, OrbitClass.C3: 6}
     for orbit, base in REPRESENTATIVES.items():
         # the dimension is constant on the orbit: solved once, on the representative
@@ -467,8 +470,8 @@ def check_stabilizer_orders() -> str | None:
         for g in _FRAMES:
             rep = act(g, base)
             desc = conormal.stabilizer_of_cubic(rep)
-            if desc.dimension != expected_dims[orbit]:
-                return f"{orbit} moved by {g!r}: dimension {desc.dimension} != {expected_dims[orbit]}"
+            if desc.dimension != _CODIMENSIONS[orbit]:
+                return f"{orbit} moved by {g!r}: dimension {desc.dimension} != {_CODIMENSIONS[orbit]}"
             if solved != desc.dimension:
                 return f"{orbit} moved by {g!r}: dimension {desc.dimension} != solved {solved}"
             elems = desc.group_elements()
@@ -644,8 +647,8 @@ def check_supercuspidal_everywhere(derived: Derived) -> str | None:
 
 def check_stable_characters(derived: Derived) -> str | None:
     for psi, theta in enumerate(derived.stable):
-        if theta.coefficients != packets.EXPECTED_STABLE[psi]:
-            return f"psi{psi}: coefficients {theta.coefficients}"
+        if theta != packets.EXPECTED_STABLE[psi]:
+            return f"psi{psi}: coefficients {theta}"
     return None
 
 
@@ -660,14 +663,14 @@ def check_change_of_basis_roundtrip(derived: Derived) -> str | None:
     """The change of basis reproduces the Theta vectors from the standard
     rows and is invertible."""
     m = derived.change_of_basis
-    stable = Matrix.from_rows([theta.coefficients for theta in derived.stable])
+    stable = Matrix.from_rows(derived.stable)
     if m @ Matrix.from_rows(derived.standard_rows) != stable or rank(m) != m.rows:
         return "inverse does not round-trip the stable vectors"
     return None
 
 
 def check_stable_independence(derived: Derived) -> str | None:
-    if rank(Matrix.from_rows([theta.coefficients for theta in derived.stable])) != 4:
+    if rank(Matrix.from_rows(derived.stable)) != 4:
         return "the four stable characters are not linearly independent"
     return None
 
@@ -782,7 +785,7 @@ def check_cartan_from_weights() -> str | None:
 
 
 def check_root_closure() -> str | None:
-    roots = rootdata.all_roots("dual")
+    roots = rootdata.all_roots()
     if len(roots) != 12 or len(set((r.a, r.b) for r in roots)) != 12:
         return "root list is not twelve distinct roots"
     pairs = {(r.a, r.b) for r in roots}
@@ -792,13 +795,11 @@ def check_root_closure() -> str | None:
 
 
 def check_torus_selfcheck() -> str | None:
-    report = rootdata.frobenius_torus_selfcheck()
-    if not report["coroot_form_matches"]:
+    coroot_form, stated = rootdata.frobenius_torus_selfcheck()
+    if coroot_form != rootdata.FROBENIUS_TORUS:
         return "coroot form of the Frobenius element does not give m(q, q)"
-    if report["stated_matches"]:
+    if stated == rootdata.FROBENIUS_TORUS:
         return "unexpected: the composite h_a(q) h_b(q^2) matches m(q, q)"
-    if not report["swapped_matches"]:
-        return "the swapped composite h_a(q^2) h_b(q) does not give m(q, q)"
     return None
 
 

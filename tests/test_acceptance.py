@@ -156,7 +156,7 @@ def test_criterion_8_microlocal_tables():
 def test_criterion_9_packets_and_stable_characters():
     for psi in range(4):
         assert DERIVED.packets[psi] == packets.EXPECTED_PACKETS[psi]
-        assert DERIVED.stable[psi].coefficients == packets.EXPECTED_STABLE[psi]
+        assert DERIVED.stable[psi] == packets.EXPECTED_STABLE[psi]
     assert DERIVED.change_of_basis == Matrix.from_rows(
         [[1, 1, -3, 1], [0, 1, -2, 1], [0, 0, 1, -1], [0, 0, 0, 1]]
     )

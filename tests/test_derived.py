@@ -81,8 +81,8 @@ def test_cached_values_are_read_only():
         d.nevs(obj)[1] = "T"
     with pytest.raises(AttributeError):
         d.packets[0].add(packets.Irreducible.PI0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        d.stable[0].coefficients = ()
+    with pytest.raises(TypeError):
+        d.stable[0][0] = 7
     with pytest.raises(TypeError):
         d.standard_rows[3][0] = 7
     with pytest.raises(TypeError):

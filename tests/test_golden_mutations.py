@@ -22,6 +22,7 @@ and review the diff of `tests/golden_mutations.json` before committing it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -140,6 +141,7 @@ def _failures(tables: SheafTables) -> dict[str, str]:
     }
 
 
+@functools.cache
 def _load() -> dict:
     return json.loads(GOLDEN.read_text())
 
