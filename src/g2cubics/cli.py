@@ -1,7 +1,19 @@
 """Command-line surface for classification, conormal, packet and table queries.
 
 Each subcommand is declared once, in `COMMANDS`: its handler, its help text
-and its own arguments; `build_parser` adds the global flags to every entry.
+and its own arguments; `GLOBAL_FLAGS` holds the flags every entry takes.
+Two parsers read these declarations, and `main` tries them in turn:
+
+- the table parser (`_parse_table`) takes an ordinary argv: the subcommand,
+  then its positional values as one run, then exact flags of that subcommand
+  or global flags, each as `--flag value` or a bare switch. A value is any
+  token not starting with `-`, or a negative rational such as `-1/3`. It
+  returns the namespace argparse would build, and builds no parser.
+- argparse (`build_parser`, built once, on first use) takes every other
+  argv: `-h`, `--`, `--flag=value`, abbreviated flags, global flags before
+  the subcommand, missing or invalid values. It alone prints help and
+  usage errors.
+
 Exit codes: 0 success, 1 a verification check failed, 2 bad input.
 All output is deterministic: JSON payloads are emitted with sorted keys and
 tables have a fixed row/column order.
@@ -9,11 +21,12 @@ tables have a fixed row/column order.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import conormal, packets, rootdata, sheaves, verify
 from .cubics import (
@@ -26,6 +39,9 @@ from .cubics import (
     rational_lines,
 )
 from .linalg import format_rational, parse_rational
+
+if TYPE_CHECKING:
+    import argparse
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
 
@@ -275,22 +291,21 @@ def cmd_verify(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_global_flags(p: argparse.ArgumentParser, root: bool = False) -> None:
-    # on subparsers the defaults are suppressed so a flag given before the
-    # subcommand is not clobbered
-    default = {"default": "text"} if root else {"default": argparse.SUPPRESS}
-    p.add_argument("--format", choices=["json", "md", "csv", "text"], **default)
-    p.add_argument(
-        "--output",
-        help="write the result to a file",
-        **({"default": None} if root else {"default": argparse.SUPPRESS}),
-    )
-
-
 def _arg(*names, **kwargs) -> tuple:
     """One `add_argument` call of a subcommand, as (names, keyword arguments)."""
     return names, kwargs
 
+
+# a negative rational such as -1/3 is a value, not a flag, to both parsers
+NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$")
+
+# accepted before or after the subcommand
+GLOBAL_FLAGS = [
+    _arg("--format", choices=["json", "md", "csv", "text"], default="text",
+         help="output format (default text); md and csv change only `tables`, "
+         "every other command prints its text form for them"),
+    _arg("--output", default=None, help="write the result to a file"),
+]
 
 _CUBIC = _arg("coeffs", nargs=4, metavar="R")
 _PAIR = _arg("coeffs", nargs=8, metavar="C")
@@ -322,7 +337,139 @@ COMMANDS = {
 }
 
 
+class _Grammar(NamedTuple):
+    """One subcommand as the table parser reads it."""
+
+    defaults: dict  # the namespace before any token is read
+    positional: tuple  # (dest, nargs, choices); ("", 0, None) for none
+    flags: dict  # option -> (dest, type, choices), each taking one value
+    switches: dict  # store_true option -> dest
+    required: tuple  # dests of the required flags
+
+
+_MISSING = object()  # the value of a required flag not yet given
+
+
+def _kind(names: tuple, kwargs: dict) -> str:
+    """How the table parser reads one declaration: "positional", "switch" or "flag".
+
+    Raises ValueError on any other, so that a new kind of argument cannot
+    parse differently from argparse unnoticed.
+    """
+    keys, nargs = kwargs.keys() - {"help", "metavar", "choices"}, kwargs.get("nargs")
+    if len(names) == 1 and not names[0].startswith("-"):
+        if keys == {"nargs"} and type(nargs) is int and nargs > 0:
+            return "positional"
+        if keys == {"nargs", "default"} and nargs == "?":
+            return "positional"
+    elif len(names) == 1 and names[0].startswith("--"):
+        if keys == {"action"} and kwargs["action"] == "store_true":
+            return "switch"
+        if keys <= {"type", "required", "default"} and kwargs.get("type", str) in (int, str):
+            return "flag"
+    raise ValueError(f"the table parser does not read the declaration {names} {kwargs}")
+
+
+@functools.cache
+def _grammar(command: str) -> _Grammar:
+    """The table parser's reading of `COMMANDS[command]` and `GLOBAL_FLAGS`."""
+    fn, _help, arguments = COMMANDS[command]
+    defaults = {"command": command, "fn": fn}
+    positional, flags, switches, required = ("", 0, None), {}, {}, []
+    for names, kwargs in [*arguments, *GLOBAL_FLAGS]:
+        kind, name = _kind(names, kwargs), names[0]
+        dest = name[2:].replace("-", "_")
+        if kind == "switch":
+            switches[name] = dest
+            defaults[dest] = False
+        elif kind == "flag":
+            convert = kwargs.get("type", str)
+            flags[name] = (dest, convert, kwargs.get("choices"))
+            if kwargs.get("required"):
+                required.append(dest)
+                defaults[dest] = _MISSING
+            else:
+                # argparse passes a string default through the type
+                default = kwargs.get("default")
+                defaults[dest] = convert(default) if isinstance(default, str) else default
+        elif positional[0]:
+            raise ValueError(f"{command}: the table parser reads one positional argument")
+        else:
+            positional = (name, kwargs["nargs"], kwargs.get("choices"))
+            if "default" in kwargs:
+                defaults[name] = kwargs["default"]
+    return _Grammar(defaults, positional, flags, switches, tuple(required))
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse reads the token as a value rather than as a flag."""
+    return not token.startswith("-") or NEGATIVE_NUMBER.match(token) is not None
+
+
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would build for `argv`, or None to leave it to argparse.
+
+    Accepted: a subcommand, its positional values as one run, then any of its
+    own or the global flags, each exact, as `--flag value` or a bare switch.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    grammar = _grammar(argv[0])
+    values = dict(grammar.defaults)
+    end = 1
+    while end < len(argv) and _is_value(argv[end]):
+        end += 1
+    dest, nargs, choices = grammar.positional
+    if nargs == "?":
+        if end > 2:
+            return None
+        if end == 2:
+            values[dest] = argv[1]
+        given = [values[dest]]
+    elif end - 1 != nargs:
+        return None
+    else:
+        given = argv[1:end]
+        if dest:
+            values[dest] = given
+    if choices is not None and any(v not in choices for v in given):
+        return None
+    i = end
+    while i < len(argv):
+        token = argv[i]
+        if token in grammar.switches:
+            values[grammar.switches[token]] = True
+            i += 1
+            continue
+        spec = grammar.flags.get(token)
+        if spec is None or i + 1 == len(argv) or not _is_value(argv[i + 1]):
+            return None
+        dest, convert, choices = spec
+        try:
+            value = convert(argv[i + 1])
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        i += 2
+    if any(values[dest] is _MISSING for dest in grammar.required):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _add_global_flags(p: argparse.ArgumentParser, root: bool = False) -> None:
+    import argparse
+
+    for names, kwargs in GLOBAL_FLAGS:
+        # on subparsers the defaults are suppressed so a flag given before the
+        # subcommand is not clobbered
+        p.add_argument(*names, **(kwargs if root else {**kwargs, "default": argparse.SUPPRESS}))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="g2cubics",
         description="Exact computations with binary cubics, conormal geometry, "
@@ -330,22 +477,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_global_flags(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True)
-    # let negative rationals such as -1/3 pass as positional coefficients
-    matcher = re.compile(r"^-\d+(/\d+)?$")
-    parser._negative_number_matcher = matcher
+    parser._negative_number_matcher = NEGATIVE_NUMBER
     for name, (fn, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for names, kwargs in arguments:
             p.add_argument(*names, **kwargs)
         _add_global_flags(p)
         p.set_defaults(fn=fn)
-        p._negative_number_matcher = matcher
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call and reused by later ones.
+    """The parser, built on the first argv that the table parser leaves to it
+    and reused by later ones.
 
     The cache stores only a returned parser, so an exception or signal that
     interrupts the build leaves nothing cached; `parse_args` makes a fresh
@@ -355,7 +501,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_table(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:

@@ -20,6 +20,8 @@ from g2cubics.cli import CHECK_FAILED, INPUT_ERROR, OK, main
 from fraction_reference import line_cubic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# the environment of a fresh interpreter that imports from src/
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(capsys, *argv):
@@ -343,6 +345,38 @@ def test_output_is_deterministic(capsys):
     assert t1 == t2
 
 
+# one argv per command whose md and csv forms are its text form
+_TEXT_ONLY = [
+    ["classify", "0", "-1/3", "-1/3", "0"],
+    ["pair", "1", "0", "0", "0", "5", "7", "0", "0"],
+    ["moment", "1", "0", "0", "0", "5", "7", "0", "0"],
+    ["kernel", "1", "0", "0", "0"],
+    ["stabilizer", "0", "-1/3", "-1/3", "0"],
+    ["lambda-regular", "0", "1", "0", "0", "0", "0", "0", "1"],
+    ["packets", "show", "--psi", "0"],
+    ["aubert"],
+    ["stable", "--psi", "2", "--basis", "standard"],
+    ["formal-degree", "--q", "3"],
+    ["roots"],
+    ["verify", "--scope", "g2"],
+]
+
+
+def test_md_and_csv_print_the_text_form_except_for_tables():
+    assert {argv[0] for argv in _TEXT_ONLY} == set(cli.COMMANDS) - {"tables"}
+    for argv in _TEXT_ONLY:
+        text, md, csv = (_run_captured([*argv, "--format", fmt]) for fmt in ("text", "md", "csv"))
+        assert text[0] == OK and text[1]
+        assert md == text == csv, argv
+
+
+def test_python_dash_m_reads_sys_argv():
+    argv = ["classify", "0", "-1/3", "-1/3", "0", "--format", "json"]
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())[" ".join(argv)]
+    proc = subprocess.run([sys.executable, "-m", "g2cubics", *argv], env=SRC_ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (golden["code"], golden["stdout"], golden["stderr"])
+
+
 def test_output_to_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(
@@ -415,34 +449,45 @@ def test_parse_args_returns_a_fresh_namespace():
 
 
 _COUNT_PARSERS = """
-import argparse, contextlib, io
-built = []
-init = argparse.ArgumentParser.__init__
-def counting_init(self, *args, **kwargs):
-    built.append(1)
-    init(self, *args, **kwargs)
-argparse.ArgumentParser.__init__ = counting_init
-import g2cubics.cli
-counts = [len(built)]
+import contextlib, io, json, sys
+from g2cubics import cli
+loaded = ["argparse" in sys.modules]
 for _ in range(2):
     with contextlib.redirect_stdout(io.StringIO()):
-        g2cubics.cli.main(["roots"])
-    counts.append(len(built))
-print(counts)
+        cli.main(["roots"])  # canonical: the table parser takes it
+    loaded.append("argparse" in sys.modules)
+import argparse
+builds, inits = [], []
+init, build = argparse.ArgumentParser.__init__, cli.build_parser
+def counting_init(self, *args, **kwargs):
+    inits.append(1)
+    init(self, *args, **kwargs)
+def counting_build():
+    builds.append(1)
+    return build()
+argparse.ArgumentParser.__init__, cli.build_parser = counting_init, counting_build
+counts = []
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--format", "text", "roots"])  # a global flag first: argparse takes it
+    counts.append([len(builds), len(inits)])
+print(json.dumps([loaded, counts, len(cli.COMMANDS)]))
 """
 
 
 def _fresh_python(*args) -> str:
     """Stdout of `python -c ...` in a fresh interpreter that imports from src/."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", *args], env=SRC_ENV, capture_output=True, text=True, check=True).stdout
 
 
 def test_import_builds_no_parser_and_main_builds_one_once():
-    at_import, after_first, after_second = json.loads(_fresh_python(_COUNT_PARSERS))
-    assert at_import == 0
-    assert after_first > 0
-    assert after_second == after_first
+    loaded, counts, commands = json.loads(_fresh_python(_COUNT_PARSERS))
+    # neither the import nor two canonical commands load argparse, so no
+    # parser of any kind exists
+    assert loaded == [False, False, False]
+    # the first fallback builds one parser (the root and one per subcommand),
+    # the second reuses it
+    assert counts == [[1, 1 + commands], [1, 1 + commands]]
 
 
 _LOADED_FRONT_ENDS = """
@@ -471,9 +516,11 @@ def test_interrupted_parser_build_is_not_cached(monkeypatch, capsys):
     cli._parser.cache_clear()
     monkeypatch.setattr(cli, "_add_global_flags", interrupt_third_call)
     with pytest.raises(KeyboardInterrupt):
-        main(["roots"])
+        main(["--format", "text", "roots"])  # argparse takes a global flag first
+    assert cli._parser.cache_info().currsize == 0
     monkeypatch.setattr(cli, "_add_global_flags", add_flags)
     # `verify` is the last subcommand added, so a half-built parser lacks it
-    code, out, _ = run_cli(capsys, "verify", "--scope", "g2")
+    code, out, _ = run_cli(capsys, "--format", "text", "verify", "--scope", "g2")
     assert code == OK
     assert out.endswith("checks passed\n")
+    assert cli._parser.cache_info().currsize == 1
