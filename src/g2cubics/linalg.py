@@ -3,9 +3,11 @@
 Every answer is exact; there is no floating point anywhere.  Matrix entries
 are `fractions.Fraction`s, cleared to integer numerators over one common
 denominator where a formula runs over Python ints.  Polynomials in q have
-integer coefficients, and a rational function in q is a lowest-terms ratio
-of two of them: the formal-degree data are such ratios, so q-arithmetic runs
-over Python ints and only `eval_q` builds a Fraction, its value.
+integer coefficients, and a rational function in q is a ratio of two of them
+kept as built, with no common factor cancelled; two ratios are compared by
+cross-multiplication.  The formal-degree data are such ratios, so
+q-arithmetic runs over Python ints and only `eval_q` builds a Fraction, its
+value.
 Matrices are small (the largest is the 21x18 stalk system) so
 Gauss-Jordan elimination with exact pivoting is all we need.  Elimination
 skips zeros: it updates only the rows with a nonzero entry in the pivot
@@ -22,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -368,142 +370,46 @@ class Poly:
         return f"Poly({', '.join(_int_to_str(c) for c in self.nums)})"
 
 
-def _primitive(coeffs: list[int]) -> list[int]:
-    """An integer coefficient list divided by its content; [] stays []."""
-    g = gcd(*coeffs)
-    return [c // g for c in coeffs]
-
-
-def int_poly_gcd(p: list[int], q: list[int]) -> list[int]:
-    """A primitive gcd of two integer coefficient lists (lowest degree
-    first, trimmed), up to sign; [] when both are zero.
-
-    Both are made primitive and reduced by the primitive pseudo-remainder
-    sequence over Python ints: each step scales the remainder by the
-    smallest factor that cancels its leading term, and each new remainder is
-    made primitive.
-    """
-    p, q = _primitive(p), _primitive(q)
-    while q:
-        r, lead, n = p, q[-1], len(q)
-        while len(r) >= n:  # one pseudo-division step: cancel r's leading term
-            top, shift = r[-1], len(r) - n
-            g = gcd(top, lead)
-            rscale, qscale = lead // g, top // g
-            r = [c * rscale for c in r]
-            for j, c in enumerate(q):
-                r[shift + j] -= qscale * c
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        p, q = q, _primitive(r)
-    return p
-
-
-def _exact_quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """f / g for integer lists where g divides f over the integers; every
-    step of the long division is then an exact integer division."""
-    f = list(f)
-    lead, n = g[-1], len(g)
-    out = [0] * (len(f) - n + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = out[i] = f[i + n - 1] // lead
-        if c:
-            for j, d in enumerate(g):
-                f[i + j] -= c * d
-    return out
-
-
-def _cancel(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """f and g divided by their primitive gcd: exact over the integers by
-    Gauss's lemma, and skipped when the gcd is constant."""
-    h = int_poly_gcd(f, g)
-    if len(h) > 1:
-        return _exact_quotient(f, h), _exact_quotient(g, h)
-    return f, g
-
-
 class RationalFunctionQ:
-    """Quotient num / den of integer polynomials in q, in lowest terms.
+    """Quotient num / den of integer polynomials in q, kept as built.
 
-    num and den share no nonconstant factor and no integer content, and
-    den's leading coefficient is positive; the zero function is 0 / 1.
-    Equality of values implies equality of representations.  Arithmetic
-    keeps the operands' lowest terms: a product needs only the two cross
-    gcds, and a power none.
+    No common factor is cancelled and no form is canonical: num / den equals
+    c / d exactly when num d = c den, so equality cross-multiplies and the
+    arithmetic multiplies polynomials.  With no canonical form there is no
+    hash.
     """
 
     __slots__ = ("num", "den")
+    __hash__ = None
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        n, d = num.nums, den.nums
-        if n:
-            n, d = _cancel(n, d)
-        self._store(n, d)
-
-    def _store(self, n: Sequence[int], d: Sequence[int]) -> None:
-        """Set num / den from coprime integer lists, d nonzero, divided by
-        their common content signed like d's leading coefficient."""
-        if not n:
-            self.num, self.den = Poly(), Poly.const(1)
-            return
-        k = gcd(*n, *d)
-        if d[-1] < 0:
-            k = -k
-        self.num, self.den = Poly(c // k for c in n), Poly(c // k for c in d)
-
-    @classmethod
-    def _product(cls, a, b, c, d) -> "RationalFunctionQ":
-        """(a c) / (b d) for pairs a / b and c / d each in lowest terms up to
-        sign: a factor they share is one of a and d, or of c and b."""
-        out = object.__new__(cls)
-        if a and c:
-            (a, d), (c, b) = _cancel(a, d), _cancel(c, b)
-            out._store(int_poly_mul(a, c), int_poly_mul(b, d))
-        else:
-            out._store((), (1,))
-        return out
+        self.num, self.den = num, den
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalFunctionQ)
-            and self.num == other.num
-            and self.den == other.den
+            and self.num * other.den == other.num * self.den
         )
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
-        return self._product(self.num.nums, self.den.nums, other.num.nums, other.den.nums)
+        return RationalFunctionQ(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return self._product(self.num.nums, self.den.nums, other.den.nums, other.num.nums)
+        return RationalFunctionQ(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int) -> "RationalFunctionQ":
-        # powers of coprime polynomials are coprime, and so are powers of
-        # coprime contents: only the swap of a negative exponent needs a sign
         num, den = self.num ** abs(n), self.den ** abs(n)
-        if n < 0:
-            if num.is_zero():
-                raise ZeroDivisionError("zero denominator")
-            num, den = den, num
-            if den.nums[-1] < 0:
-                num, den = Poly(-c for c in num.nums), Poly(-c for c in den.nums)
-        out = object.__new__(RationalFunctionQ)
-        out.num, out.den = num, den
-        return out
+        return RationalFunctionQ(num, den) if n >= 0 else RationalFunctionQ(den, num)
 
     def __repr__(self):
         return f"RationalFunctionQ({self.num!r} / {self.den!r})"
 
 
 def eval_q(f: RationalFunctionQ, q0) -> Fraction:
-    """Exact evaluation of f at q = q0; raises PoleAtPoint on a pole."""
+    """Exact evaluation of f at q = q0; raises PoleAtPoint where the stored
+    denominator vanishes."""
     a, b = _integer_ratio(q0)
     n, nden = f.num._value(a, b)
     d, dden = f.den._value(a, b)

@@ -81,8 +81,8 @@ def root_weight(gamma: Root, t: TorusExponentPair) -> int:
     return gamma.a * (-t.e1 + 2 * t.e2) + gamma.b * (t.e1 - t.e2)
 
 
-# The infinitesimal-parameter torus element: m(q, q).  A startup self-check
-# (`frobenius_torus_selfcheck`) reconciles this with the coroot expressions.
+# The infinitesimal-parameter torus element: m(q, q).  The check
+# `frobenius-torus-selfcheck` reconciles this with the coroot expressions.
 FROBENIUS_TORUS = TorusExponentPair(1, 1)
 
 
@@ -113,17 +113,6 @@ def coroot_torus_exponents(coroot_pair: tuple[int, int]) -> TorusExponentPair:
 def root_coroot_pairing(gamma: Root, delta: Root) -> int:
     """<gamma, delta^vee> computed through torus weights."""
     return root_weight(gamma, coroot_torus_exponents(coroot(delta)))
-
-
-def frobenius_torus_selfcheck() -> tuple[TorusExponentPair, TorusExponentPair]:
-    """The composites h_alpha(q^2) h_beta(q) and h_alpha(q) h_beta(q^2).
-
-    The first is the coroot form (2 alpha^vee + beta^vee)(q) and gives
-    m(q, q), matching the explicit unramified-parameter value. The second
-    evaluates to m(q^2, q^{-1}) in these coordinates, which does not match.
-    The m(q, q) value is normative.
-    """
-    return coroot_torus_exponents((2, 1)), coroot_torus_exponents((1, 2))
 
 
 def arthur_parameters() -> list[ArthurParamMeta]:
@@ -163,8 +152,8 @@ class AdjointGammaData:
 
 @functools.cache
 def adjoint_gamma_data() -> AdjointGammaData:
-    """gamma(0) and dim sigma as canonical rational functions, built on first
-    use and shared by every caller in the process."""
+    """gamma(0) and dim sigma as the quotients that define them, built on
+    first use and shared by every caller in the process."""
     q = Poly.q()
     one = Poly.const(1)
     gamma0 = RationalFunctionQ(q**9, (q + one) ** 2 * (q**2 + q + one))

@@ -7,8 +7,9 @@ and is handed the `packets.Derived` of the table set under test.
 Randomized checks draw from a seeded generator, so runs are reproducible;
 the acceptance tests reuse the random generators and the repeated-root
 oracle below.  The oracles that only the checks use live here too: the
-homogeneous gcd, the derivatives it needs, and the exact eliminations of the
-infinitesimal action and of the moment matrix.  No command calls them.
+homogeneous gcd with the integer Euclid under it, the derivatives it needs,
+and the exact eliminations of the infinitesimal action and of the moment
+matrix.  No command calls them.
 
 A scope that holds a randomized check (one with a `trials` parameter) runs
 on two processes when `run_checks` can fork a worker beside it: `os.fork`
@@ -34,7 +35,7 @@ import signal
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import conormal, cubics, packets, rootdata, sheaves
 from .cubics import (
@@ -54,7 +55,7 @@ from .cubics import (
     hessian_quadratic,
     to_plain,
 )
-from .linalg import Matrix, eval_q, int_poly_gcd, int_poly_mul, kernel_basis, rank
+from .linalg import Matrix, eval_q, int_poly_mul, kernel_basis, rank
 from .packets import Derived
 
 
@@ -132,6 +133,38 @@ def _poly_dy(p: list) -> list:
     """d/dy of a homogeneous polynomial in the plain basis (ints stay ints)."""
     d = len(p) - 1
     return [p[i] * (d - i) for i in range(d)]
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """An integer coefficient list divided by its content; [] stays []."""
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs]
+
+
+def int_poly_gcd(p: list[int], q: list[int]) -> list[int]:
+    """A primitive gcd of two integer coefficient lists (lowest degree
+    first, trimmed), up to sign; [] when both are zero.
+
+    Both are made primitive and reduced by the primitive pseudo-remainder
+    sequence over Python ints: each step scales the remainder by the
+    smallest factor that cancels its leading term, and each new remainder is
+    made primitive.
+    """
+    p, q = _primitive(p), _primitive(q)
+    while q:
+        r, lead, n = p, q[-1], len(q)
+        while len(r) >= n:  # one pseudo-division step: cancel r's leading term
+            top, shift = r[-1], len(r) - n
+            g = gcd(top, lead)
+            rscale, qscale = lead // g, top // g
+            r = [c * rscale for c in r]
+            for j, c in enumerate(q):
+                r[shift + j] -= qscale * c
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        p, q = q, _primitive(r)
+    return p
 
 
 def _gcd_poly(p: list[int], q: list[int]) -> list[int]:
@@ -795,10 +828,12 @@ def check_root_closure() -> str | None:
 
 
 def check_torus_selfcheck() -> str | None:
-    coroot_form, stated = rootdata.frobenius_torus_selfcheck()
-    if coroot_form != rootdata.FROBENIUS_TORUS:
+    # h_alpha(q^2) h_beta(q) is the coroot form (2 alpha^vee + beta^vee)(q)
+    # and must give m(q, q), the explicit unramified-parameter value, which is
+    # normative; the composite h_alpha(q) h_beta(q^2) gives m(q^2, q^{-1}).
+    if rootdata.coroot_torus_exponents((2, 1)) != rootdata.FROBENIUS_TORUS:
         return "coroot form of the Frobenius element does not give m(q, q)"
-    if stated == rootdata.FROBENIUS_TORUS:
+    if rootdata.coroot_torus_exponents((1, 2)) == rootdata.FROBENIUS_TORUS:
         return "unexpected: the composite h_a(q) h_b(q^2) matches m(q, q)"
     return None
 

@@ -46,8 +46,8 @@ from g2cubics.linalg import (
     common_denominator,
     eval_q,
     format_rational,
-    int_poly_gcd,
 )
+from g2cubics.verify import int_poly_gcd
 
 from fraction_reference import FractionPoly, divide_by_form, fraction_substitute, from_plain
 from fraction_reference import poly_mul as fraction_poly_mul
@@ -224,12 +224,6 @@ def fraction_poly_gcd(a, b):
         return a
     lead = a.coeffs[-1]
     return FractionPoly([c / lead for c in a.coeffs])
-
-
-def fraction_int_poly_gcd(p, q):
-    """The monic gcd of the Fraction Euclid, cleared to a primitive integer
-    list (a monic list clears to a primitive one)."""
-    return common_denominator(fraction_poly_gcd(FractionPoly(p), FractionPoly(q)).coeffs)[0]
 
 
 def fraction_rational_function(num, den):
@@ -428,13 +422,19 @@ def test_rational_functions_match_fraction_reference(pair, n):
     num, den = pair
     assume(not den.is_zero())
     f = RationalFunctionQ(num, den)
-    reference = fraction_rational_function(FractionPoly(num.nums), FractionPoly(den.nums))
-    assert (f.num.nums, f.den.nums) == reference
+    assert (f.num, f.den) == (num, den)  # kept as built
+    reduced = RationalFunctionQ(
+        *map(Poly, fraction_rational_function(FractionPoly(num.nums), FractionPoly(den.nums)))
+    )
+    assert f == reduced and reduced == f
+    scale = Poly([-3, 0, 10**40])
+    assert RationalFunctionQ(num * scale, den * scale) == f
+    assert RationalFunctionQ(num + den, den) != f  # f + 1
     assume(n >= 0 or not f.num.is_zero())
     power = RationalFunctionQ(Poly.const(1), Poly.const(1))
     for _ in range(abs(n)):
         power = power * f if n > 0 else power / f
-    assert f**n == power
+    assert f**n == power == reduced**n
 
 
 # -- polynomials in q ------------------------------------------------------------
@@ -513,8 +513,6 @@ def test_eval_q_matches_fraction_reference(p, q, x):
     assert eval_q(f, x) == eval_q(f, format_rational(x)) == value
     if x.denominator == 1:
         assert eval_q(f, x.numerator) == value
-    if FractionPoly(q)(x) != 0:  # off the cancelled common factor
-        assert value == FractionPoly(p)(x) / FractionPoly(q)(x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -527,13 +525,19 @@ def test_eval_q_matches_fraction_reference(p, q, x):
 def test_integer_form_is_unique(nums, zeros, den, k):
     p = Poly(nums + [0] * zeros)
     assert p.nums == FractionPoly(nums).coeffs and p == Poly(nums) and hash(p) == hash(Poly(nums))
-    # nums / den in lowest terms, whatever common scale k it was given in
+    # nums / den equals its lowest-terms pair, whatever common scale k it was given in
     f = RationalFunctionQ(p, Poly.const(den))
-    (d,) = f.den.nums
-    assert d > 0 and gcd(d, *f.num.nums) == 1
-    assert [Fraction(c, d) for c in f.num.nums] == [Fraction(n, den) for n in p.nums]
+    assert (f.num.nums, f.den.nums) == (p.nums, (den,))
+    reduced_num, (d,) = fraction_rational_function(FractionPoly(nums), FractionPoly([den]))
+    assert [Fraction(c, d) for c in reduced_num] == [Fraction(n, den) for n in p.nums]
+    reduced = RationalFunctionQ(Poly(reduced_num), Poly.const(d))
     scaled = RationalFunctionQ(Poly([k * n for n in nums]), Poly.const(k * den))
-    assert scaled == f and hash(scaled) == hash(f)
+    assert scaled == f == reduced
+    if not p.is_zero():
+        assert scaled**-1 == f**-1 == reduced**-1
+        assert RationalFunctionQ(p, Poly.const(2 * den)) != f
+    with pytest.raises(TypeError):
+        hash(f)  # no canonical form, so no hash
 
 
 def _counting_fraction():
@@ -574,27 +578,29 @@ def test_q_arithmetic_builds_no_fraction_until_read():
 
 
 def test_formal_degree_data_is_unchanged():
-    # (numerator, denominator) coefficients, lowest degree first: dim sigma
-    # is q (q-1)^2 (q^2-q+1) / 6, with its 1/6 in the denominator
-    pinned = {
+    # (numerator, denominator) coefficients as built, lowest degree first
+    built = {
         "gamma0": ((0,) * 9 + (1,), (1, 3, 4, 3, 1)),
+        "dim_sigma": ((0, 1, 0, -1, 0, 0, 0, -1, 0, 1), (6, 18, 24, 18, 6)),
+    }
+    # and the lowest-terms pairs they equal: dim sigma is q (q-1)^2 (q^2-q+1) / 6
+    reduced = {
+        "gamma0": built["gamma0"],
         "dim_sigma": ((0, 1, -3, 4, -3, 1), (6,)),
     }
-
-    def pairs():
-        data = rootdata.adjoint_gamma_data.__wrapped__()
-        return {
-            "gamma0": (data.gamma0.num.nums, data.gamma0.den.nums),
-            "dim_sigma": (data.dim_sigma.num.nums, data.dim_sigma.den.nums),
-        }
-
-    assert pairs() == pinned
+    data = rootdata.adjoint_gamma_data.__wrapped__()
+    for name, (num, den) in built.items():
+        f = getattr(data, name)
+        assert (f.num.nums, f.den.nums) == (num, den)
+        assert fraction_rational_function(FractionPoly(num), FractionPoly(den)) == reduced[name]
+        pair = RationalFunctionQ(*map(Poly, reduced[name]))
+        scaled = RationalFunctionQ(f.num * Poly([-7, 2]), f.den * Poly([-7, 2]))
+        assert f == pair == scaled and f**3 == pair**3 and f**-2 == pair**-2
+        assert f != pair * RationalFunctionQ(Poly([2]), Poly([1]))
     simplified = rootdata.dim_sigma_simplified()
-    assert (simplified.num.nums, simplified.den.nums) == pinned["dim_sigma"]
+    assert (simplified.num.nums, simplified.den.nums) == reduced["dim_sigma"]
     q, one = Poly.q(), Poly.const(1)
     num, den = Poly([0, 6, 12]) * (q + one), Poly([-3, 0, -6]) * (q + one)
-    with mock.patch.object(linalg, "int_poly_gcd", fraction_int_poly_gcd):
-        assert pairs() == pinned
-        reference = RationalFunctionQ(num, den)
-    assert RationalFunctionQ(num, den) == reference
-    assert (reference.num.nums, reference.den.nums) == ((0, -2, -4), (1, 0, 2))
+    reference = fraction_rational_function(FractionPoly(num.nums), FractionPoly(den.nums))
+    assert reference == ((0, -2, -4), (1, 0, 2))
+    assert RationalFunctionQ(num, den) == RationalFunctionQ(*map(Poly, reference))

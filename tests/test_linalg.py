@@ -21,6 +21,8 @@ from g2cubics.linalg import (
     solve,
 )
 
+from fraction_reference import FractionPoly
+
 
 def test_kernel_of_identity_is_trivial():
     assert kernel_basis(Matrix.from_rows([[1, 0], [0, 1]])) == []
@@ -157,22 +159,42 @@ def test_eval_q_examples():
 
 
 def test_rational_function_canonical_form():
+    # num and den are kept as built; == cross-multiplies, so each quotient
+    # equals its lowest-terms pair (the FractionPoly reference's cross
+    # products agree), a scaled copy and its powers, and no other value
     q = Poly.q()
     one = Poly.const(1)
     f = RationalFunctionQ(q**2 - one, q - one)
-    assert f == RationalFunctionQ(q + one, one)
-    assert (f.num.nums, f.den.nums) == ((1, 1), (1,))
-    # the denominator's leading coefficient is positive, and the integer
-    # content shared by numerator and denominator is divided out
+    assert (f.num.nums, f.den.nums) == ((-1, 0, 1), (-1, 1))
     g = RationalFunctionQ(Poly([0, 4]), Poly([0, -6]))
-    assert g == RationalFunctionQ(Poly([-2]), Poly([3]))
-    assert (g.num.nums, g.den.nums) == ((-2,), (3,))
+    assert (g.num.nums, g.den.nums) == ((0, 4), (0, -6))
     h = RationalFunctionQ(Poly([-1, 0, 1]), Poly.const(2))
     assert (h.num.nums, h.den.nums) == ((-1, 0, 1), (2,))
     zero = RationalFunctionQ(Poly(), q - one)
-    assert (zero.num.nums, zero.den.nums) == ((), (1,))
+    assert (zero.num.nums, zero.den.nums) == ((), (-1, 1))
+    # each with its lowest-terms pair: a positive leading coefficient in den
+    # and no common integer content
+    cases = [
+        (f, (1, 1), (1,)),
+        (g, (-2,), (3,)),
+        (h, (-1, 0, 1), (2,)),
+        (zero, (), (1,)),
+    ]
+    scale = Poly([5, 0, -3])
+    for r, num, den in cases:
+        reduced = RationalFunctionQ(Poly(num), Poly(den))
+        left = FractionPoly(r.num.nums) * FractionPoly(den)
+        assert left.coeffs == (FractionPoly(num) * FractionPoly(r.den.nums)).coeffs
+        assert r == reduced == RationalFunctionQ(r.num * scale, r.den * scale)
+        assert r**3 == reduced**3 and r**0 == RationalFunctionQ(one, one)
+        if num:
+            assert r**-2 == reduced**-2
+        assert r != RationalFunctionQ(Poly(num) + Poly(den), Poly(den))  # r + 1
+    assert g != RationalFunctionQ(Poly([2]), Poly([3]))
     with pytest.raises(ZeroDivisionError):
         RationalFunctionQ(one, Poly([0, 0]))
+    with pytest.raises(TypeError):
+        hash(f)
 
 
 def test_negative_power_raises_on_poly_and_inverts_a_rational_function():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from g2cubics import verify
 from g2cubics.linalg import eval_q
 from g2cubics.packets import character_table
 from g2cubics.rootdata import (
@@ -11,9 +12,9 @@ from g2cubics.rootdata import (
     arthur_parameters,
     cartan_matrix,
     coroot,
+    coroot_torus_exponents,
     dim_sigma_simplified,
     formal_degree_values,
-    frobenius_torus_selfcheck,
     positive_roots,
     root_coroot_pairing,
     root_weight,
@@ -81,11 +82,11 @@ def test_cartan_entries_from_torus_weights():
 
 
 def test_frobenius_torus_selfcheck():
-    coroot_form, stated = frobenius_torus_selfcheck()
     # the coroot expression, h_a(q^2) h_b(q), gives the normative m(q, q) ...
-    assert coroot_form == FROBENIUS_TORUS == TorusExponentPair(1, 1)
+    assert coroot_torus_exponents((2, 1)) == FROBENIUS_TORUS == TorusExponentPair(1, 1)
     # ... the stated composite h_a(q) h_b(q^2) does not
-    assert stated == TorusExponentPair(2, -1)
+    assert coroot_torus_exponents((1, 2)) == TorusExponentPair(2, -1)
+    assert verify.check_torus_selfcheck() is None
 
 
 def test_arthur_parameters():
