@@ -145,9 +145,9 @@ def conormal_kernel(r: BinaryCubic) -> list[DualCubic]:
     if orbit is OrbitClass.C3:
         return []
     if orbit is not OrbitClass.C0:
-        u1, u2 = _repeated_line(r)
-        if u1:
-            t = Fraction(u2, u1)
+        u = _repeated_line(r)
+        if u.u1:
+            t = Fraction(u.u2, u.u1)
             if orbit is OrbitClass.C2:
                 return [DualCubic(-t**3, t**2, t, 1)]
             return [DualCubic(-3 * t**2, 2 * t, 1, 0), DualCubic(2 * t**3, -t**2, 0, 1)]
@@ -248,7 +248,7 @@ def _line_frame(r: BinaryCubic | DualCubic) -> GroupElement:
 
     h sends a line u to u adj(h), so adj(g) has rows alpha L0 and beta L1.
     On C2 alpha = beta = 1; on C3 alpha L0 + beta L1 is parallel to L2, and
-    Cramer's rule gives alpha and beta on integer representatives of the lines.
+    Cramer's rule gives alpha and beta on the lines' primitive integer pairs.
     """
     lines, residual = rational_lines(r)
     if residual != 0:
@@ -257,13 +257,13 @@ def _line_frame(r: BinaryCubic | DualCubic) -> GroupElement:
         )
     # the double line first; the sort is stable, so C3 keeps the listing order
     lines = sorted(lines, key=lambda lm: lm[1], reverse=True)
-    reps = [common_denominator((u.u1, u.u2))[0] for u, _ in lines]
+    reps = [(u.u1, u.u2) for u, _ in lines]
     (p0, q0), (p1, q1) = reps[:2]
     alpha = beta = 1
     if len(reps) == 3:
         p2, q2 = reps[2]
         alpha, beta = p2 * q1 - q2 * p1, p0 * q2 - q0 * p2
-    return GroupElement(beta * q1, -alpha * q0, -beta * p1, alpha * p0)
+    return GroupElement._from_integers((beta * q1, -alpha * q0, -beta * p1, alpha * p0), 1)
 
 
 def stabilizer_of_cubic(r: BinaryCubic) -> StabilizerDescription:

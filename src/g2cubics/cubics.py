@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log
 
@@ -75,8 +76,11 @@ class _CoeffVector:
     the least common denominator.  A vector built from coefficients clears
     them only when a reader asks for integers; one built by `_from_integers`
     (the group actions and group arithmetic) builds its Fractions only when
-    `coeffs` is read.  Cubics and dual cubics keep their integer Hessian,
-    orbit and rational split in the same way (`_kept`).
+    `coeffs` is read.  Both forms are kept because neither is cheap to
+    rebuild from the other at large sizes: printing from the integer form
+    needs a gcd per coefficient, and clearing Fraction inputs needs an lcm.
+    Cubics and dual cubics keep their integer Hessian, orbit and rational
+    split in the same way (`_kept`).
     """
 
     __slots__ = ("_coeffs", "_integers")
@@ -219,42 +223,39 @@ class GroupElement(_CoeffVector):
         return f"GroupElement([[{e[0]}, {e[1]}], [{e[2]}, {e[3]}]])"
 
 
+@dataclass(frozen=True, slots=True)
 class Line:
-    """A projective line [u1:u2], i.e. the form u1*y - u2*x, normalized so the
-    first nonzero coordinate is 1.  Immutable: it is hashed, and the lines
-    of a cubic's kept split are handed to every reader."""
+    """A projective line [u1:u2], i.e. the form u1*y - u2*x, kept as its
+    primitive integer pair: u1 and u2 are ints with gcd 1 and the first
+    nonzero one positive, so two lines are equal exactly when their pairs
+    are.  Built from any two rationals, not both zero.  Frozen: it is hashed,
+    and the lines of a cubic's kept split are handed to every reader."""
 
-    __slots__ = ("u1", "u2")
+    u1: int
+    u2: int
 
-    def __init__(self, u1, u2):
-        u1, u2 = rational(u1), rational(u2)
-        if u1 == 0 and u2 == 0:
+    def __post_init__(self):
+        (u1, u2), _ = common_denominator((rational(self.u1), rational(self.u2)))
+        g = gcd(u1, u2)
+        if g == 0:
             raise ValueError("a line needs a nonzero coordinate pair")
-        scale = u1 if u1 != 0 else u2
-        object.__setattr__(self, "u1", u1 / scale)
-        object.__setattr__(self, "u2", u2 / scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Line is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Line is immutable: cannot delete {name!r}")
+        if u1 < 0 or (u1 == 0 and u2 < 0):
+            g = -g
+        object.__setattr__(self, "u1", u1 // g)
+        object.__setattr__(self, "u2", u2 // g)
 
     def perp(self) -> "Line":
         """The unique line v with u1*v1 + u2*v2 = 0."""
         return Line(-self.u2, self.u1)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Line) and (self.u1, self.u2) == (other.u1, other.u2)
-
-    def __hash__(self):
-        return hash((self.u1, self.u2))
-
     def __repr__(self):
-        return f"Line[{format_rational(self.u1)}:{format_rational(self.u2)}]"
+        return f"Line[{':'.join(self.to_json())}]"
 
     def to_json(self) -> list[str]:
-        return [format_rational(self.u1), format_rational(self.u2)]
+        """[0:1], or [1:t] with t = u2/u1."""
+        if self.u1 == 0:
+            return ["0", "1"]
+        return ["1", format_rational(Fraction(self.u2, self.u1))]
 
 
 # canonical orbit representatives, each split into rational lines
@@ -432,18 +433,17 @@ def divides(u: Line, r: BinaryCubic | DualCubic) -> int:
     """Largest k with u(x,y)^k dividing r, by exact polynomial division.
 
     By convention the zero cubic is divisible by every line (returns 3).
-    The division runs on r's integer numerators and the primitive integer
-    form of u: by Gauss's lemma a primitive form divides an integer
-    polynomial over the rationals iff it does over the integers, so a step
-    that leaves a fraction ends the count.
+    The division runs on r's integer numerators and u's primitive pair: by
+    Gauss's lemma a primitive form divides an integer polynomial over the
+    rationals iff it does over the integers, so a step that leaves a
+    fraction ends the count.
     """
     if r.is_zero():
         return 3
     p = to_plain(r.integers()[0])
-    (u1, u2), _ = common_denominator((u.u1, u.u2))
     mult = 0
     while mult < 3:
-        p = _divide_by_integer_form(p, u1, u2)
+        p = _divide_by_integer_form(p, u.u1, u.u2)
         if p is None:
             break
         mult += 1
@@ -489,47 +489,43 @@ def _split(r: BinaryCubic | DualCubic) -> tuple[list[tuple[Line, int]], int]:
         raise ZeroCubic("the zero cubic has no well-defined root list")
     orbit = classify(r)
     if orbit is OrbitClass.C1:
-        return [(Line(*_repeated_line(r)), 3)], 0
+        return [(_repeated_line(r), 3)], 0
     p = to_plain(r.integers()[0])
     if orbit is OrbitClass.C2:
         # by Gauss's lemma the primitive u divides p exactly over the integers
-        u1, u2 = _repeated_line(r)
+        double = _repeated_line(r)
+        u1, u2 = double.u1, double.u2
         p = _divide_by_integer_form(_divide_by_integer_form(p, u1, u2), u1, u2)
-        double, simple = Line(u1, u2), Line(p[0], -p[1])
+        simple = Line(p[0], -p[1])
         return sorted([(double, 2), (simple, 1)], key=lambda lm: _line_order(lm[0])), 0
     lines = _simple_rational_lines(p)
     return [(u, 1) for u in lines], 3 - len(lines)
 
 
-def _repeated_line(r: BinaryCubic | DualCubic) -> tuple[int, int]:
-    """The primitive integer (u1, u2) of the repeated line of a C1 or C2
-    cubic r, up to sign.
+def _repeated_line(r: BinaryCubic | DualCubic) -> Line:
+    """The repeated line of a C1 or C2 cubic r, read off its integer form.
 
     On C1 the plain form is p = k u^3 with u = u1*y - u2*x, so
     (3 p[0], -p[1]) = 3 k u1^2 (u1, u2), and that pair is 3 (r0, r1).  On C2
     the Hessian quadratic d0 y^2 + d1 xy + d2 x^2 is a multiple of u^2, so
     (2 d0, -d1) is a multiple of (u1, u2).  Either pair is zero exactly when
-    u1 = 0, and then the line is [0:1].
+    u1 = 0, and then the line is [0:1]; otherwise `Line` reduces it.
     """
     if classify(r) is OrbitClass.C1:
         a, b = r.integers()[0][:2]
     else:
         d0, d1, _ = _hessian_integers(r)
         a, b = 2 * d0, -d1
-    if a == 0:
-        return 0, 1
-    g = gcd(a, b)
-    return a // g, b // g
+    return Line(a, b) if a else Line(0, 1)
 
 
 def _line_order(u: Line):
     """Sort key giving the listing order of `rational_lines`."""
     if u.u1 == 0:
         return (0,)
-    t = u.u2
-    if t == 0:
+    if u.u2 == 0:
         return (1,)
-    return (2, abs(t.numerator), t.denominator, t < 0)
+    return (2, abs(u.u2), u.u1, u.u2 < 0)
 
 
 def _simple_rational_lines(p: list[int]) -> list[Line]:

@@ -292,14 +292,6 @@ def int_poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     return out
 
 
-def _integer_ratio(x) -> tuple[int, int]:
-    """(a, b) with x = a / b and b > 0, for an int, Fraction or 'p/q' string."""
-    if isinstance(x, int):
-        return x, 1
-    x = rational(x)
-    return x.numerator, x.denominator
-
-
 class Poly:
     """Univariate polynomial in q with integer coefficients `nums`, lowest
     degree first and with no trailing zero; the zero polynomial is ()."""
@@ -410,9 +402,10 @@ class RationalFunctionQ:
 def eval_q(f: RationalFunctionQ, q0) -> Fraction:
     """Exact evaluation of f at q = q0; raises PoleAtPoint where the stored
     denominator vanishes."""
-    a, b = _integer_ratio(q0)
+    x = q0 if isinstance(q0, int) else rational(q0)  # an int is its own ratio
+    a, b = x.numerator, x.denominator
     n, nden = f.num._value(a, b)
     d, dden = f.den._value(a, b)
     if d == 0:
-        raise PoleAtPoint(f"denominator vanishes at q = {format_rational(Fraction(a, b))}")
+        raise PoleAtPoint(f"denominator vanishes at q = {format_rational(x)}")
     return Fraction(n * dden, nden * d)

@@ -208,8 +208,6 @@ TABLES = SheafTables(*map(_read_only, astuple(default_tables())))
 
 def _line_census(orbit: OrbitClass) -> tuple[int, int]:
     """(distinct lines, ordered line factorizations 3! / prod m!) of a split representative."""
-    if orbit is OrbitClass.C0:
-        raise ValueError("the zero cubic has no line census")
     lines, residual = rational_lines(REPRESENTATIVES[orbit])
     assert residual == 0
     return len(lines), factorial(3) // prod(factorial(m) for _, m in lines)

@@ -1,14 +1,23 @@
 """Fraction references that the integer kernels of `g2cubics` are compared
-with: division by a linear form (`divides`, `rational_lines`), the twisted
-coefficients of a plain-basis cubic (`_twisted`), the product of coefficient
-lists (`int_poly_mul`; tests also build their line products with it), the
-substitution of a 2x2 matrix into a form (`_substitute`), and polynomials in
-q with one Fraction per coefficient (`linalg.Poly`).
+with: the normalization of a line (`cubics.Line`), division by a linear form
+(`divides`, `rational_lines`), the twisted coefficients of a plain-basis
+cubic (`_twisted`), the product of coefficient lists (`int_poly_mul`; tests
+also build their line products with it), the substitution of a 2x2 matrix
+into a form (`_substitute`), and polynomials in q with one Fraction per
+coefficient (`linalg.Poly`).
 """
 
 from fractions import Fraction
 
 from g2cubics.cubics import BinaryCubic
+
+
+def fraction_line(u1, u2):
+    """The line [u1:u2] as a pair of Fractions, both divided by the first
+    nonzero one: (0, 1) or (1, u2/u1)."""
+    u1, u2 = Fraction(u1), Fraction(u2)
+    scale = u1 if u1 != 0 else u2
+    return u1 / scale, u2 / scale
 
 
 def divide_by_form(p, u1, u2):
