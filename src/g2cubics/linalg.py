@@ -103,7 +103,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Render as 'p/q', or 'p' when the denominator is 1; any size is exact."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     num = _int_to_str(x.numerator)
     return num if x.denominator == 1 else f"{num}/{_int_to_str(x.denominator)}"
 

@@ -37,6 +37,18 @@ def validate_payload(payload):
     jsonschema.validate(payload, schema)
 
 
+_GOLDEN_JSON = {
+    key: case
+    for key, case in json.loads(Path(__file__).with_name("golden_cli.json").read_text()).items()
+    if "--format json" in key and case["code"] in (OK, CHECK_FAILED)
+}
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN_JSON))
+def test_every_json_snapshot_case_validates_against_the_schema(key):
+    validate_payload(json.loads(_GOLDEN_JSON[key]["stdout"]))
+
+
 def test_classify_c3(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "classify", "1", "0", "1", "0")
     assert code == OK

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import random
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +41,7 @@ from g2cubics.cubics import (
     divides,
     rational_lines,
 )
-from g2cubics.linalg import Matrix, kernel_basis
+from g2cubics.linalg import Matrix, kernel_basis, parse_rational
 from g2cubics.verify import _moment_matrix_of, _stabilizer_dimension
 
 from fraction_reference import line_cubic
@@ -523,3 +525,71 @@ def test_conjugates_reject_an_element_that_moves_the_point():
         conormal._conjugates(moved, [g], act(moved, r), act_dual(moved, s))
     with pytest.raises(IrrationalSplitting):
         conormal._conjugates(moved, [GroupElement.diagonal(1, 2)], act(moved, r))
+
+
+# -- pair and moment through the command line, against sympy -------------------
+
+_Y, _X, _E = sympy.symbols("y x e")
+_R, _S = sympy.symbols("r0:4"), sympy.symbols("s0:4")
+
+
+def _form(c):
+    """The cubic c0 y^3 - 3 c1 y^2 x - 3 c2 y x^2 - c3 x^3."""
+    return c[0] * _Y**3 - 3 * c[1] * _Y**2 * _X - 3 * c[2] * _Y * _X**2 - c[3] * _X**3
+
+
+def _apolar(r, s):
+    """The apolar pairing r(d/dy, d/dx) s / 3! of two cubic forms."""
+    terms = sympy.Poly(r, _Y, _X).terms()
+    return sympy.expand(sum(c * sympy.diff(s, _Y, i, _X, j) for (i, j), c in terms) / 6)
+
+
+def _moved(i, j):
+    """The generic cubic r at (y, x)(1 + e E_ij), expanded."""
+    h = sympy.eye(2) + _E * sympy.Matrix(2, 2, lambda k, l: int((k, l) == (i, j)))
+    y, x = h[0, 0] * _Y + h[1, 0] * _X, h[0, 1] * _Y + h[1, 1] * _X
+    return sympy.expand(_form(_R).subs({_Y: y, _X: x}, simultaneous=True))
+
+
+# <r, s>, and the moment map [r, s] as a third of the derivative of <r, s>
+# along r -> r((y, x)(1 + e E_ij)) at e = 0
+_PAIRING = _apolar(_form(_R), _form(_S))
+_MOMENT = [
+    [sympy.expand(sympy.diff(_apolar(_moved(i, j), _form(_S)), _E).subs(_E, 0) / 3) for j in range(2)]
+    for i in range(2)
+]
+
+
+# a magnitude of 64 to 2048 bits
+_wide = st.integers(64, 2048).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1))
+# a numerator of 64 to 2048 bits over one as wide or over 1, or zero
+_wide_rationals = (
+    st.builds(lambda sign, num, den: Fraction(sign * num, den), st.sampled_from((1, -1)), _wide, _wide | st.just(1))
+    | st.just(Fraction(0))
+)
+
+
+def _json_of(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*argv, "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def _exact(value) -> Fraction:
+    return Fraction(int(value.p), int(value.q))
+
+
+@settings(max_examples=60)
+@given(st.lists(_wide_rationals, min_size=8, max_size=8))
+# eight coprime 2048-bit denominators: the outputs pass 4300 digits
+@example([Fraction(2**2048 - 1, p**n) for p, n in ((3, 1292), (5, 882), (7, 729), (11, 592))]
+         + [Fraction(-(2**2047 + 1), p**n) for p, n in ((13, 553), (17, 501), (19, 482), (23, 452))])
+def test_pair_and_moment_commands_match_sympy(coeffs):
+    argv = [str(c) for c in coeffs]
+    values = dict(zip(_R + _S, (sympy.Rational(c.numerator, c.denominator) for c in coeffs)))
+    assert parse_rational(_json_of(["pair", *argv])["pairing"]) == _exact(_PAIRING.xreplace(values))
+    expected = [[_exact(m.xreplace(values)) for m in row] for row in _MOMENT]
+    payload = _json_of(["moment", *argv])
+    assert [[parse_rational(v) for v in row] for row in payload["moment"]] == expected
+    assert payload["is_zero"] == (expected == [[0, 0], [0, 0]])
