@@ -232,7 +232,7 @@ def cmd_packets(args) -> int:
         raise InputError("psi index must be 0..3")
     packet = packets.DERIVED.packets[args.psi]
     members = sorted(p.label() for p in packet)
-    lmembers = sorted(p.label() for p in packets.l_packet(args.psi))
+    lmembers = sorted(p.label() for p in packets.L_PACKETS[args.psi])
     chars = {p.label(): packets.pairing_character(args.psi, p, packets.DERIVED) for p in packet}
     payload = {
         "psi": args.psi,
@@ -286,19 +286,17 @@ def cmd_formal_degree(args) -> int:
 
 def cmd_roots(args) -> int:
     payload = {
-        "cartan_g2": rootdata.cartan_matrix("g2"),
-        "cartan_dual": rootdata.cartan_matrix("dual"),
-        "positive_roots_dual": [[r.a, r.b] for r in rootdata.positive_roots("dual")],
-        "positive_roots_g2": [[r.a, r.b] for r in rootdata.positive_roots("g2")],
-        "coroots_dual": {
-            f"{r.a},{r.b}": list(rootdata.coroot(r)) for r in rootdata.positive_roots("dual")
-        },
+        "cartan_g2": rootdata.CARTAN_G2,
+        "cartan_dual": rootdata.CARTAN_DUAL,
+        "positive_roots_dual": [(r.a, r.b) for r in rootdata.POSITIVE_ROOTS_DUAL],
+        "positive_roots_g2": [(r.a, r.b) for r in rootdata.POSITIVE_ROOTS_G2],
+        "coroots_dual": {f"{r.a},{r.b}": rootdata.coroot(r) for r in rootdata.POSITIVE_ROOTS_DUAL},
         "weight_partition": {
-            str(e): [[r.a, r.b] for r in rootdata.weight_space(e)] for e in (-2, -1, 0, 1, 2)
+            str(e): [(r.a, r.b) for r in roots] for e, roots in rootdata.WEIGHT_SPACES.items()
         },
     }
     human_lines = ["positive roots (dual side, a*alpha + b*beta):"]
-    for r in rootdata.positive_roots("dual"):
+    for r in rootdata.POSITIVE_ROOTS_DUAL:
         human_lines.append(f"  ({r.a}, {r.b})  coroot {rootdata.coroot(r)}")
     _emit(args, payload, "\n".join(human_lines))
     return OK

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cubics import (
     BinaryCubic,
@@ -173,14 +174,13 @@ def in_lambda_regular(p: ConormalPoint) -> int | None:
 
 
 # canonical regular base points, one per stratum, all rational-split
-def canonical_regular_pairs() -> dict[int, ConormalPoint]:
-    xy_x_plus_y = REPRESENTATIVES[OrbitClass.C3].coeffs
-    return {
-        0: ConormalPoint(BinaryCubic(0, 0, 0, 0), DualCubic(*xy_x_plus_y)),
-        1: ConormalPoint(BinaryCubic(1, 0, 0, 0), DualCubic(0, 0, Fraction(-1, 3), 0)),
-        2: ConormalPoint(BinaryCubic(0, 1, 0, 0), DualCubic(0, 0, 0, 1)),
-        3: ConormalPoint(BinaryCubic(*xy_x_plus_y), DualCubic(0, 0, 0, 0)),
-    }
+_XY_X_PLUS_Y = REPRESENTATIVES[OrbitClass.C3].coeffs
+CANONICAL_REGULAR_PAIRS = MappingProxyType({
+    0: ConormalPoint(BinaryCubic(0, 0, 0, 0), DualCubic(*_XY_X_PLUS_Y)),
+    1: ConormalPoint(BinaryCubic(1, 0, 0, 0), DualCubic(0, 0, Fraction(-1, 3), 0)),
+    2: ConormalPoint(BinaryCubic(0, 1, 0, 0), DualCubic(0, 0, 0, 1)),
+    3: ConormalPoint(BinaryCubic(*_XY_X_PLUS_Y), DualCubic(0, 0, 0, 0)),
+})
 
 
 # -- finite stabilizers -------------------------------------------------------

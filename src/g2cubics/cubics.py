@@ -60,7 +60,7 @@ class OrbitClass(enum.Enum):
 
     @property
     def dim(self) -> int:
-        return {0: 0, 1: 2, 2: 3, 3: 4}[self.value]
+        return (0, 2, 3, 4)[self.value]
 
     @property
     def structure(self) -> str:

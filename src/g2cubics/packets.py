@@ -16,10 +16,9 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from . import sheaves
+from . import rootdata, sheaves
 from .cubics import OrbitClass
 from .linalg import Matrix, solve
-from .rootdata import arthur_parameters
 from .sheaves import SIMPLE_ORDER, SheafTables, SimpleObject, TABLES
 
 
@@ -37,10 +36,10 @@ class Irreducible(enum.Enum):
 
     @property
     def tempered(self) -> bool:
-        return self in (Irreducible.PI3, Irreducible.PI3R, Irreducible.PI3E)
+        return self.value >= 3  # PI3, PI3R and PI3E, the packet of psi3
 
     def label(self) -> str:
-        return ["pi0", "pi1", "pi2", "pi3", "pi3rho", "pi3eps"][self.value]
+        return ("pi0", "pi1", "pi2", "pi3", "pi3rho", "pi3eps")[self.value]
 
 
 IRREDUCIBLE_ORDER = list(Irreducible)
@@ -106,9 +105,10 @@ EXPECTED_PACKETS = {
 }
 
 
-def l_packet(phi: int) -> set[Irreducible]:
-    """The irreducibles whose simple objects are supported on orbit phi."""
-    return {llc(obj) for obj in SIMPLE_ORDER if obj.support.value == phi}
+# the L-packet of each orbit phi: the irreducibles whose simple objects it supports
+L_PACKETS = tuple(
+    frozenset(llc(obj) for obj in SIMPLE_ORDER if obj.support.value == phi) for phi in range(4)
+)
 
 
 def pairing_character(psi: int, pi: Irreducible, derived: Derived) -> str | None:
@@ -120,7 +120,7 @@ def pairing_character(psi: int, pi: Irreducible, derived: Derived) -> str | None
 def stable_virtual_character(psi: int, derived: Derived) -> tuple[int, ...]:
     """Coefficients over IRREDUCIBLE_ORDER of the integer combination of
     irreducibles, the pairing characters evaluated at s_psi."""
-    meta = arthur_parameters()[psi]
+    meta = rootdata.ARTHUR_PARAMETERS[psi]
     table = character_table(meta.component_group)
     coeffs = []
     for pi in IRREDUCIBLE_ORDER:

@@ -3,7 +3,8 @@
 The dual side is stated once, with alpha the long simple root: its positive
 roots with their coroots, and its Cartan matrix. The G2 side is read from it
 by Langlands duality: the positive roots of G2 (alpha short) are the dual
-coroots, and its Cartan matrix is the transpose of the dual one. Roots are
+coroots, and its Cartan matrix is the transpose of the dual one. Each fixed
+table is a read-only module constant, built once at import. Roots are
 written a*alpha + b*beta in the simple-root basis of their side; torus
 elements are tracked as exponent pairs (e1, e2) standing for m(q^e1, q^e2)
 in the fixed coordinates, on which the simple roots act by
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .linalg import Poly, RationalFunctionQ, eval_q
 
@@ -53,27 +55,16 @@ _COROOTS = {
     (2, 3): (2, 1),
 }
 
-# Rows/columns ordered (alpha, beta): entry (i, j) is <root i, coroot j>.
-_CARTAN_DUAL = ((2, -3), (-1, 2))
+# Rows/columns ordered (alpha, beta): entry (i, j) is <root i, coroot j>;
+# the G2 matrix is the transpose.
+CARTAN_DUAL = ((2, -3), (-1, 2))
+CARTAN_G2 = tuple(zip(*CARTAN_DUAL))
 
-
-def positive_roots(side: str = "dual") -> list[Root]:
-    """The positive roots of the dual group, or of G2 (its coroots) by height."""
-    if side == "g2":
-        return [Root(a, b) for a, b in sorted(_COROOTS.values(), key=sum)]
-    return [Root(a, b) for a, b in _COROOTS]
-
-
-def all_roots() -> list[Root]:
-    pos = positive_roots()
-    return pos + [-r for r in pos]
-
-
-def cartan_matrix(side: str) -> list[list[int]]:
-    """Rows/columns ordered (alpha, beta); the G2 matrix is the transpose."""
-    if side == "g2":
-        return [list(column) for column in zip(*_CARTAN_DUAL)]
-    return [list(row) for row in _CARTAN_DUAL]
+# The positive dual roots in listing order, the positive roots of G2 (the
+# dual coroots, sorted by height), and all twelve dual roots.
+POSITIVE_ROOTS_DUAL = tuple(Root(a, b) for a, b in _COROOTS)
+POSITIVE_ROOTS_G2 = tuple(Root(a, b) for a, b in sorted(_COROOTS.values(), key=sum))
+ROOTS = POSITIVE_ROOTS_DUAL + tuple(-r for r in POSITIVE_ROOTS_DUAL)
 
 
 def root_weight(gamma: Root, t: TorusExponentPair) -> int:
@@ -85,15 +76,13 @@ def root_weight(gamma: Root, t: TorusExponentPair) -> int:
 # `frobenius-torus-selfcheck` reconciles this with the coroot expressions.
 FROBENIUS_TORUS = TorusExponentPair(1, 1)
 
-
-def weight_space(exponent: int) -> list[Root]:
-    """Dual-side roots of the given Frobenius weight.
-
-    Weight +1 is the four-dimensional moduli space of cubics, -1 its dual,
-    and weight 0 carries +/-beta (the two-dimensional Cartan is tracked
-    separately by convention).
-    """
-    return [r for r in all_roots() if root_weight(r, FROBENIUS_TORUS) == exponent]
+# The dual roots of each Frobenius weight -2..2, in the order of ROOTS.
+# Weight +1 is the four-dimensional moduli space of cubics, -1 its dual,
+# and weight 0 carries +/-beta (the two-dimensional Cartan is tracked
+# separately by convention).
+WEIGHT_SPACES = MappingProxyType(
+    {e: tuple(r for r in ROOTS if root_weight(r, FROBENIUS_TORUS) == e) for e in range(-2, 3)}
+)
 
 
 def coroot(gamma: Root) -> tuple[int, int]:
@@ -115,15 +104,14 @@ def root_coroot_pairing(gamma: Root, delta: Root) -> int:
     return root_weight(gamma, coroot_torus_exponents(coroot(delta)))
 
 
-def arthur_parameters() -> list[ArthurParamMeta]:
-    """Metadata for the four Arthur parameters with this infinitesimal class,
-    one record per conormal stratum: A_psi_i is the stabilizer of stratum i."""
-    return [
-        ArthurParamMeta(0, "S3", "e", 3),
-        ArthurParamMeta(1, "S2", "t", 2),
-        ArthurParamMeta(2, "S2", "t", 1),
-        ArthurParamMeta(3, "S3", "e", 0),
-    ]
+# The four Arthur parameters with this infinitesimal class, one record per
+# conormal stratum: A_psi_i is the stabilizer of stratum i.
+ARTHUR_PARAMETERS = (
+    ArthurParamMeta(0, "S3", "e", 3),
+    ArthurParamMeta(1, "S2", "t", 2),
+    ArthurParamMeta(2, "S2", "t", 1),
+    ArthurParamMeta(3, "S3", "e", 0),
+)
 
 
 # -- formal degree data -------------------------------------------------------

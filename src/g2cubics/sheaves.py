@@ -47,19 +47,11 @@ class SimpleObject(enum.Enum):
 
     @property
     def support(self) -> OrbitClass:
-        return {
-            SimpleObject.IC1_C0: OrbitClass.C0,
-            SimpleObject.IC1_C1: OrbitClass.C1,
-            SimpleObject.IC1_C2: OrbitClass.C2,
-        }.get(self, OrbitClass.C3)
+        return ORBITS[min(self.value, 3)]  # the last three all live on C3
 
     @property
     def local_system(self) -> str:
-        if self is SimpleObject.ICR_C3:
-            return "refl"
-        if self is SimpleObject.ICE_C3:
-            return "sign"
-        return "triv"
+        return ("triv", "triv", "triv", "triv", "refl", "sign")[self.value]
 
 
 SIMPLE_ORDER = list(SimpleObject)
@@ -362,10 +354,10 @@ class DualSimpleObject:
 
     dual_orbit_index: int  # the i of Ci*
     local_system: str
+    _PREFIX = MappingProxyType({"triv": "IC1", "refl": "ICR", "sign": "ICE"})  # not a field
 
     def label(self) -> str:
-        sys = {"triv": "IC1", "refl": "ICR", "sign": "ICE"}[self.local_system]
-        return f"{sys}_C{self.dual_orbit_index}*"
+        return f"{self._PREFIX[self.local_system]}_C{self.dual_orbit_index}*"
 
 
 def fourier(obj: SimpleObject, tables: SheafTables) -> tuple[DualSimpleObject, SimpleObject]:

@@ -523,9 +523,8 @@ _GROUP_ORDERS = {"S3": 6, "S2": 2}
 def check_microlocal_orders() -> str | None:
     """The stabilizer of stratum i is A_psi_i: the group of the i-th Arthur
     parameter, named as the record names it, of that group's order."""
-    metas = rootdata.arthur_parameters()
-    for stratum, base in conormal.canonical_regular_pairs().items():
-        group = metas[stratum].component_group
+    for stratum, base in conormal.CANONICAL_REGULAR_PAIRS.items():
+        group = rootdata.ARTHUR_PARAMETERS[stratum].component_group
         order = _GROUP_ORDERS[group]
         # the dimension is constant on the stratum: solved once, on the canonical pair
         solved = _stabilizer_dimension(base.r, base.s)
@@ -546,7 +545,7 @@ def check_microlocal_orders() -> str | None:
 
 
 def check_lambda_regular_base_points() -> str | None:
-    for stratum, point in conormal.canonical_regular_pairs().items():
+    for stratum, point in conormal.CANONICAL_REGULAR_PAIRS.items():
         got = conormal.in_lambda_regular(point)
         if got != stratum:
             return f"canonical pair of stratum {stratum} landed in {got}"
@@ -642,7 +641,7 @@ def check_local_system_rank_accounting() -> str | None:
     """The regular cover of stratum i holds each local system, an
     irreducible of the group of psi_i, as often as its rank chi(e), so the
     ranks' squares sum to |G|; so do the class sizes."""
-    for meta in rootdata.arthur_parameters():
+    for meta in rootdata.ARTHUR_PARAMETERS:
         stratum, order = meta.index, _GROUP_ORDERS[meta.component_group]
         table = packets.character_table(meta.component_group)
         total = sum(table.values[(chi, "e")] ** 2 for chi in table.irreducibles)
@@ -666,7 +665,7 @@ def check_packets_match(derived: Derived) -> str | None:
 
 def check_lpacket_containment(derived: Derived) -> str | None:
     for i, got in enumerate(derived.packets):
-        if not packets.l_packet(i) <= got:
+        if not packets.L_PACKETS[i] <= got:
             return f"phi{i}: L-packet not inside the packet"
     return None
 
@@ -726,7 +725,7 @@ def check_aubert(derived: Derived) -> str | None:
 
 
 def check_aubert_packet_swap(derived: Derived) -> str | None:
-    pairs = [(m.index, m.swap_partner) for m in rootdata.arthur_parameters() if m.index < m.swap_partner]
+    pairs = [(m.index, m.swap_partner) for m in rootdata.ARTHUR_PARAMETERS if m.index < m.swap_partner]
     for a, b in pairs:
         image = {packets.aubert(pi, derived) for pi in derived.packets[a]}
         if image != derived.packets[b]:
@@ -776,9 +775,7 @@ def check_character_orthogonality() -> str | None:
 
 
 def check_cartan_matrices() -> str | None:
-    g2 = rootdata.cartan_matrix("g2")
-    dual = rootdata.cartan_matrix("dual")
-    if g2 != [[2, -1], [-3, 2]] or dual != [[2, -3], [-1, 2]]:
+    if rootdata.CARTAN_G2 != ((2, -1), (-3, 2)) or rootdata.CARTAN_DUAL != ((2, -3), (-1, 2)):
         return "Cartan matrices are wrong"
     return None
 
@@ -792,13 +789,13 @@ def check_coroot_relations() -> str | None:
 
 
 def check_weight_spaces() -> str | None:
-    plus = {(r.a, r.b) for r in rootdata.weight_space(1)}
+    plus = {(r.a, r.b) for r in rootdata.WEIGHT_SPACES[1]}
     if plus != {(1, 0), (1, 1), (1, 2), (1, 3)}:
         return f"weight +1 space is {sorted(plus)}"
-    minus = {(r.a, r.b) for r in rootdata.weight_space(-1)}
+    minus = {(r.a, r.b) for r in rootdata.WEIGHT_SPACES[-1]}
     if minus != {(-1, 0), (-1, -1), (-1, -2), (-1, -3)}:
         return f"weight -1 space is {sorted(minus)}"
-    sizes = [len(rootdata.weight_space(e)) for e in (-2, -1, 0, 1, 2)]
+    sizes = [len(rootdata.WEIGHT_SPACES[e]) for e in (-2, -1, 0, 1, 2)]
     if sizes != [1, 4, 2, 4, 1]:
         return f"weight partition sizes {sizes}"
     return None
@@ -806,19 +803,18 @@ def check_weight_spaces() -> str | None:
 
 def check_cartan_from_weights() -> str | None:
     simple = [rootdata.Root(1, 0), rootdata.Root(0, 1)]
-    dual = rootdata.cartan_matrix("dual")
     for i, gamma in enumerate(simple):
         for j, delta in enumerate(simple):
-            if rootdata.root_coroot_pairing(gamma, delta) != dual[i][j]:
+            if rootdata.root_coroot_pairing(gamma, delta) != rootdata.CARTAN_DUAL[i][j]:
                 return f"<{gamma}, {delta}^vee> != Cartan entry"
-    for gamma in rootdata.positive_roots("dual"):
+    for gamma in rootdata.POSITIVE_ROOTS_DUAL:
         if rootdata.root_coroot_pairing(gamma, gamma) != 2:
             return f"<{gamma}, {gamma}^vee> != 2"
     return None
 
 
 def check_root_closure() -> str | None:
-    roots = rootdata.all_roots()
+    roots = rootdata.ROOTS
     if len(roots) != 12 or len(set((r.a, r.b) for r in roots)) != 12:
         return "root list is not twelve distinct roots"
     pairs = {(r.a, r.b) for r in roots}
@@ -839,7 +835,7 @@ def check_torus_selfcheck() -> str | None:
 
 
 def check_arthur_metadata() -> str | None:
-    metas = rootdata.arthur_parameters()
+    metas = rootdata.ARTHUR_PARAMETERS
     if [m.component_group for m in metas] != ["S3", "S2", "S2", "S3"]:
         return "component groups wrong"
     if [m.s_psi_class for m in metas] != ["e", "t", "t", "e"]:

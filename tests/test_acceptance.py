@@ -114,7 +114,7 @@ def test_criterion_5_stabilizers():
         assert len(desc.group_elements()) == orders[orbit]
     micro = {0: 6, 1: 2, 2: 2, 3: 6}
     groups = {0: "S3", 1: "S2", 2: "S2", 3: "S3"}
-    for stratum, point in conormal.canonical_regular_pairs().items():
+    for stratum, point in conormal.CANONICAL_REGULAR_PAIRS.items():
         desc = conormal.microlocal_stabilizer(point)
         assert len(desc.group_elements()) == micro[stratum]
         assert desc.component_group == groups[stratum]
@@ -164,12 +164,12 @@ def test_criterion_9_packets_and_stable_characters():
 
 
 def test_criterion_10_root_data():
-    plus = {(r.a, r.b) for r in rootdata.weight_space(1)}
+    plus = {(r.a, r.b) for r in rootdata.WEIGHT_SPACES[1]}
     assert plus == {(1, 0), (1, 1), (1, 2), (1, 3)}
-    sizes = [len(rootdata.weight_space(e)) for e in (-2, -1, 0, 1, 2)]
+    sizes = [len(rootdata.WEIGHT_SPACES[e]) for e in (-2, -1, 0, 1, 2)]
     assert sizes == [1, 4, 2, 4, 1]
-    assert rootdata.cartan_matrix("g2") == [[2, -1], [-3, 2]]
-    assert rootdata.cartan_matrix("dual") == [[2, -3], [-1, 2]]
+    assert rootdata.CARTAN_G2 == ((2, -1), (-3, 2))
+    assert rootdata.CARTAN_DUAL == ((2, -3), (-1, 2))
     expected = {(1, 1): (3, 1), (1, 2): (3, 2), (1, 3): (1, 1), (2, 3): (2, 1)}
     for (a, b), pair in expected.items():
         assert rootdata.coroot(rootdata.Root(a, b)) == pair

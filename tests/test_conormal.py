@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from g2cubics import cli, conormal, linalg, verify
 from g2cubics.conormal import (
+    CANONICAL_REGULAR_PAIRS,
     ConormalPoint,
     IrrationalSplitting,
     NotRegularConormal,
-    canonical_regular_pairs,
     conormal_kernel,
     dual_from_factors,
     dual_orbit_class,
@@ -169,7 +169,7 @@ def test_dual_orbit_classes():
         OrbitClass.C0,
     ]
     # the dual cubic of each canonical pair has the type of its dual orbit
-    for i, p in canonical_regular_pairs().items():
+    for i, p in CANONICAL_REGULAR_PAIRS.items():
         assert classify(p.s) is dual_orbit_class(i)
     assert [dual_orbit_class(i).structure for i in range(4)] == [
         "three_distinct",
@@ -186,7 +186,7 @@ def test_in_lambda_regular_examples():
 
 
 def test_canonical_pairs_land_in_their_strata():
-    for stratum, point in canonical_regular_pairs().items():
+    for stratum, point in CANONICAL_REGULAR_PAIRS.items():
         assert in_lambda_regular(point) == stratum
         assert moment(point.r, point.s).is_zero()
 
@@ -239,7 +239,7 @@ def test_non_split_c3_raises():
 def test_microlocal_orders_at_canonical_pairs():
     expected = {0: (6, "S3"), 1: (2, "S2"),
                 2: (2, "S2"), 3: (6, "S3")}
-    for stratum, point in canonical_regular_pairs().items():
+    for stratum, point in CANONICAL_REGULAR_PAIRS.items():
         d = microlocal_stabilizer(point)
         order, group = expected[stratum]
         assert d.component_group == group
@@ -251,7 +251,7 @@ def test_microlocal_orders_at_canonical_pairs():
 
 
 def test_microlocal_involutions_in_standard_coordinates():
-    pairs = canonical_regular_pairs()
+    pairs = CANONICAL_REGULAR_PAIRS
     d2 = microlocal_stabilizer(pairs[2])
     assert set(d2.group_elements()) == {GroupElement.identity(), GroupElement.diagonal(-1, 1)}
     d1 = microlocal_stabilizer(pairs[1])
@@ -261,7 +261,7 @@ def test_microlocal_involutions_in_standard_coordinates():
 def test_microlocal_on_translated_pair():
     # move the stratum-2 canonical pair by a group element and recompute
     h = GroupElement(2, 1, 1, 1)
-    base = canonical_regular_pairs()[2]
+    base = CANONICAL_REGULAR_PAIRS[2]
     moved = ConormalPoint(act(h, base.r), act_dual(h, base.s))
     assert in_lambda_regular(moved) == 2
     d = microlocal_stabilizer(moved)
@@ -341,7 +341,7 @@ def mirror(p):
 
 def test_regular_strata_moved_by_the_group_keep_their_groups():
     rng = random.Random(16)
-    pairs = canonical_regular_pairs()
+    pairs = CANONICAL_REGULAR_PAIRS
     for stratum in range(4):
         group, order = ("S3", 6) if stratum in (0, 3) else ("S2", 2)
         for _ in range(15):
@@ -413,7 +413,7 @@ def test_the_mirror_swaps_strata_and_keeps_the_involutions(g, pair):
     r, s = pair
     m = mirror(ConormalPoint(r, s))
     assert moment(m.r, m.s) == moment(r, s).transpose()
-    for stratum, base in canonical_regular_pairs().items():
+    for stratum, base in CANONICAL_REGULAR_PAIRS.items():
         p = ConormalPoint(act(g, base.r), act_dual(g, base.s))
         assert in_lambda_regular(mirror(p)) == 3 - stratum
         if stratum in (1, 2):
@@ -428,7 +428,7 @@ def test_the_mirror_swaps_strata_and_keeps_the_involutions(g, pair):
 @example(GroupElement(1, 0, 0, 1))
 @example(GroupElement(Fraction(10**999 + 7, 3**2000), 1 - 10**1000, 1, 10**1000))
 def test_microlocal_dimension_is_the_solved_one_on_moved_pairs(g):
-    for stratum, base in canonical_regular_pairs().items():
+    for stratum, base in CANONICAL_REGULAR_PAIRS.items():
         p = ConormalPoint(act(g, base.r), act_dual(g, base.s))
         assert _stabilizer_dimension(p.r, p.s) == microlocal_stabilizer(p).dimension == 0
 
@@ -477,7 +477,7 @@ def test_no_command_path_solves_a_linear_system(capsys):
         for argv in commands:
             cli.main(argv)
         for g in verify._FRAMES:
-            for base in canonical_regular_pairs().values():
+            for base in CANONICAL_REGULAR_PAIRS.values():
                 point = ConormalPoint(act(g, base.r), act_dual(g, base.s))
                 assert microlocal_stabilizer(point).dimension == 0
     assert counting.call_count == 0
@@ -489,7 +489,7 @@ def test_split_c3_stabilizer_solves_no_linear_system(capsys):
         r = line_cubic((1, Fraction(2, 3)), (1, -5), (0, 1))
         assert len(stabilizer_of_cubic(r).generators) == 6
         assert cli.main(["kernel", *map(str, r.coeffs)]) == 0
-        for point in canonical_regular_pairs().values():
+        for point in CANONICAL_REGULAR_PAIRS.values():
             assert microlocal_stabilizer(point).dimension == 0
     assert counting.call_count == 0
     assert "kernel dimension 0" in capsys.readouterr().out
@@ -517,7 +517,7 @@ def test_c1_and_c2_kernels_solve_no_linear_system(capsys, coeffs, dimension):
 def test_conjugates_reject_an_element_that_moves_the_point():
     # diag(2, 1) fixes r = -3 x y^2 but sends s = -x^3 to -x^3 / 4;
     # diag(1, 2) sends r to 2 r
-    r, s = canonical_regular_pairs()[2].r, canonical_regular_pairs()[2].s
+    r, s = CANONICAL_REGULAR_PAIRS[2].r, CANONICAL_REGULAR_PAIRS[2].s
     moved = GroupElement(1, 1, 0, 1)
     g = GroupElement.diagonal(2, 1)
     assert conormal._conjugates(moved, [g], act(moved, r)) == [moved * g * moved.inverse()]

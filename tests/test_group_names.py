@@ -2,7 +2,7 @@
 module of `src/g2cubics` compares a value with a group name, and no
 conditional expression picks one of two group names. Each group is named by
 the data that carries it instead: the Arthur record of each parameter in
-`rootdata.arthur_parameters()`, and the base stabilizer of each conormal
+`rootdata.ARTHUR_PARAMETERS`, and the base stabilizer of each conormal
 stratum in `conormal._BASES`. The checks in `verify` compare those two
 sources, so they may name the groups they expect.
 

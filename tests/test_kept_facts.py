@@ -20,8 +20,8 @@ import pytest
 
 from g2cubics import cli, cubics
 from g2cubics.conormal import (
+    CANONICAL_REGULAR_PAIRS,
     ConormalPoint,
-    canonical_regular_pairs,
     conormal_kernel,
     microlocal_stabilizer,
     stabilizer_of_cubic,
@@ -109,7 +109,7 @@ def test_cli_commands_derive_each_fact_once_per_input():
 @pytest.mark.parametrize("stratum", range(4))
 def test_microlocal_stabilizer_derives_each_fact_once_per_cubic(stratum):
     g = GroupElement(Fraction(10**999 + 7, 3**2000), 1 - 10**1000, Fraction(2, 3), 10**1000)
-    base = canonical_regular_pairs()[stratum]
+    base = CANONICAL_REGULAR_PAIRS[stratum]
     p = ConormalPoint(act(g, base.r), act_dual(g, base.s))
     with derivations() as counts:
         assert len(microlocal_stabilizer(p).generators) == (6 if stratum in (0, 3) else 1)

@@ -6,12 +6,12 @@ from g2cubics.packets import (
     EXPECTED_PACKETS,
     EXPECTED_STABLE,
     IRREDUCIBLE_ORDER,
+    L_PACKETS,
     Irreducible,
     NotInSpan,
     aubert,
     character_table,
     express_in_standard_modules,
-    l_packet,
     llc,
     llc_inverse,
     packet,
@@ -54,12 +54,14 @@ def test_packet_examples():
 
 
 def test_l_packets_and_containment():
-    assert l_packet(0) == {Irreducible.PI0}
-    assert l_packet(1) == {Irreducible.PI1}
-    assert l_packet(2) == {Irreducible.PI2}
-    assert l_packet(3) == {Irreducible.PI3, Irreducible.PI3R, Irreducible.PI3E}
+    assert L_PACKETS == (
+        {Irreducible.PI0},
+        {Irreducible.PI1},
+        {Irreducible.PI2},
+        {Irreducible.PI3, Irreducible.PI3R, Irreducible.PI3E},
+    )
     for i in range(4):
-        assert l_packet(i) <= DERIVED.packets[i]
+        assert L_PACKETS[i] <= DERIVED.packets[i]
 
 
 def test_pairing_character_examples():

@@ -1,46 +1,51 @@
 from fractions import Fraction
+from types import MappingProxyType
+
+import pytest
 
 from g2cubics import verify
+from g2cubics.conormal import CANONICAL_REGULAR_PAIRS
 from g2cubics.linalg import eval_q
-from g2cubics.packets import character_table
+from g2cubics.packets import L_PACKETS, character_table
 from g2cubics.rootdata import (
+    ARTHUR_PARAMETERS,
+    CARTAN_DUAL,
+    CARTAN_G2,
     FROBENIUS_TORUS,
+    POSITIVE_ROOTS_DUAL,
+    POSITIVE_ROOTS_G2,
+    ROOTS,
+    WEIGHT_SPACES,
     Root,
     TorusExponentPair,
     adjoint_gamma_data,
-    all_roots,
-    arthur_parameters,
-    cartan_matrix,
     coroot,
     coroot_torus_exponents,
     dim_sigma_simplified,
     formal_degree_values,
-    positive_roots,
     root_coroot_pairing,
     root_weight,
-    weight_space,
 )
 
 
 def test_cartan_matrices():
-    assert cartan_matrix("g2") == [[2, -1], [-3, 2]]
-    assert cartan_matrix("dual") == [[2, -3], [-1, 2]]
-    g2, dual = cartan_matrix("g2"), cartan_matrix("dual")
-    assert all(g2[i][j] == dual[j][i] for i in range(2) for j in range(2))
+    assert CARTAN_G2 == ((2, -1), (-3, 2))
+    assert CARTAN_DUAL == ((2, -3), (-1, 2))
+    assert all(CARTAN_G2[i][j] == CARTAN_DUAL[j][i] for i in range(2) for j in range(2))
 
 
 def test_root_lists():
-    assert len(positive_roots("dual")) == 6
-    assert len(all_roots()) == 12
-    pairs = {(r.a, r.b) for r in positive_roots("dual")}
+    assert len(POSITIVE_ROOTS_DUAL) == 6
+    assert len(ROOTS) == 12
+    pairs = {(r.a, r.b) for r in POSITIVE_ROOTS_DUAL}
     assert pairs == {(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)}
-    g2pairs = {(r.a, r.b) for r in positive_roots("g2")}
+    g2pairs = {(r.a, r.b) for r in POSITIVE_ROOTS_G2}
     assert g2pairs == {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
 
 def test_g2_positive_roots_are_the_dual_coroots_by_height():
-    dual = positive_roots("dual")
-    g2 = [(r.a, r.b) for r in positive_roots("g2")]
+    dual = POSITIVE_ROOTS_DUAL
+    g2 = [(r.a, r.b) for r in POSITIVE_ROOTS_G2]
     assert sorted(g2) == sorted(coroot(r) for r in dual)
     assert g2 == [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
 
@@ -53,14 +58,43 @@ def test_root_weight_examples():
 
 
 def test_weight_spaces():
-    plus = {(r.a, r.b) for r in weight_space(1)}
+    plus = {(r.a, r.b) for r in WEIGHT_SPACES[1]}
     assert plus == {(1, 0), (1, 1), (1, 2), (1, 3)}
-    minus = {(r.a, r.b) for r in weight_space(-1)}
+    minus = {(r.a, r.b) for r in WEIGHT_SPACES[-1]}
     assert minus == {(-1, 0), (-1, -1), (-1, -2), (-1, -3)}
-    assert weight_space(5) == []
-    sizes = [len(weight_space(e)) for e in (-2, -1, 0, 1, 2)]
+    sizes = [len(WEIGHT_SPACES[e]) for e in (-2, -1, 0, 1, 2)]
     assert sizes == [1, 4, 2, 4, 1]
-    assert {(r.a, r.b) for r in weight_space(0)} == {(0, 1), (0, -1)}
+    assert {(r.a, r.b) for r in WEIGHT_SPACES[0]} == {(0, 1), (0, -1)}
+    # the spaces partition the twelve roots, each root by its own weight: so
+    # no weight outside -2..2 has a root
+    assert list(WEIGHT_SPACES) == [-2, -1, 0, 1, 2]
+    placed = {r: e for e, space in WEIGHT_SPACES.items() for r in space}
+    assert len(placed) == sum(map(len, WEIGHT_SPACES.values())) == 12
+    assert placed == {r: root_weight(r, FROBENIUS_TORUS) for r in ROOTS}
+
+
+FIXED_TABLES = {
+    "ARTHUR_PARAMETERS": ARTHUR_PARAMETERS,
+    "CARTAN_DUAL": CARTAN_DUAL,
+    "CARTAN_G2": CARTAN_G2,
+    "POSITIVE_ROOTS_DUAL": POSITIVE_ROOTS_DUAL,
+    "POSITIVE_ROOTS_G2": POSITIVE_ROOTS_G2,
+    "ROOTS": ROOTS,
+    "WEIGHT_SPACES": WEIGHT_SPACES,
+    "CANONICAL_REGULAR_PAIRS": CANONICAL_REGULAR_PAIRS,
+    "L_PACKETS": L_PACKETS,
+}
+
+
+@pytest.mark.parametrize("table", FIXED_TABLES.values(), ids=FIXED_TABLES)
+def test_the_fixed_tables_are_read_only(table):
+    key = next(iter(table)) if isinstance(table, MappingProxyType) else 0
+    with pytest.raises(TypeError):
+        table[key] = table[key]
+    inner = table[key]
+    if isinstance(inner, tuple):  # the rows of a matrix, the roots of a weight
+        with pytest.raises(TypeError):
+            inner[0] = inner[0]
 
 
 def test_coroot_examples():
@@ -73,11 +107,10 @@ def test_coroot_examples():
 
 def test_cartan_entries_from_torus_weights():
     simple = [Root(1, 0), Root(0, 1)]
-    dual = cartan_matrix("dual")
     for i, gamma in enumerate(simple):
         for j, delta in enumerate(simple):
-            assert root_coroot_pairing(gamma, delta) == dual[i][j]
-    for gamma in positive_roots("dual"):
+            assert root_coroot_pairing(gamma, delta) == CARTAN_DUAL[i][j]
+    for gamma in POSITIVE_ROOTS_DUAL:
         assert root_coroot_pairing(gamma, gamma) == 2
 
 
@@ -90,7 +123,7 @@ def test_frobenius_torus_selfcheck():
 
 
 def test_arthur_parameters():
-    metas = arthur_parameters()
+    metas = ARTHUR_PARAMETERS
     assert [m.component_group for m in metas] == ["S3", "S2", "S2", "S3"]
     assert [m.s_psi_class for m in metas] == ["e", "t", "t", "e"]
     assert metas[1].swap_partner == 2
@@ -99,7 +132,7 @@ def test_arthur_parameters():
 
 def test_each_s_psi_class_is_a_class_of_its_group():
     # stable_virtual_character evaluates the pairing characters on this class
-    for meta in arthur_parameters():
+    for meta in ARTHUR_PARAMETERS:
         assert meta.s_psi_class in character_table(meta.component_group).classes
 
 

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import os
 import random
+import select
 import signal
 import sys
 import textwrap
@@ -102,19 +103,14 @@ def test_geometry_checks_catch_a_tampered_dimension(module, name, tamper, failin
 def test_microlocal_orders_compare_the_geometry_with_the_arthur_record():
     # the stabilizer of stratum i must be A_psi_i: a group name that drifts
     # on the geometric side, or on the Arthur side, fails the check
-    real = rootdata.arthur_parameters
-
-    def psi1_in_s3():
-        metas = real()
-        metas[1] = dataclasses.replace(metas[1], component_group="S3")
-        return metas
-
+    metas = rootdata.ARTHUR_PARAMETERS
+    psi1_in_s3 = (metas[0], dataclasses.replace(metas[1], component_group="S3"), *metas[2:])
     _, base = conormal._BASES[2]
     with mock.patch.dict(conormal._BASES, {2: ("S3", base)}):
         assert verify.check_microlocal_orders() == (
             "stratum 2 moved by GroupElement([[1, 0], [0, 1]]): group S3"
         )
-    with mock.patch.object(rootdata, "arthur_parameters", psi1_in_s3):
+    with mock.patch.object(rootdata, "ARTHUR_PARAMETERS", psi1_in_s3):
         assert verify.check_microlocal_orders() == (
             "stratum 1 moved by GroupElement([[1, 0], [0, 1]]): order 2 != 6"
         )
@@ -457,23 +453,35 @@ def test_split_keeps_failing_and_raising_checks_of_either_half(scope, tmp_path):
 
 @needs_two_cpus
 def test_the_parent_runs_every_other_check_while_the_worker_is_held(tmp_path):
-    # list scheduling: the worker sleeps in the first check it takes, and the
-    # parent takes every other one meanwhile
-    sleep = 3.0
+    # list scheduling: the worker is held in the first check it takes until
+    # the parent has run every other one, so it can take no second check
     parent = os.getpid()
-    start = time.monotonic()
     serial = _serial("all", DERIVED)
-    serial_s = time.monotonic() - start
+    release_read, release_write = os.pipe()
+    parent_ran, worker_held = [], []
 
     def held(position, fn, *args):
-        time.sleep(sleep)
+        # only the first check waits; one the parent never releases fails
+        # rather than hangs
+        if not worker_held:
+            worker_held.append(position)
+            assert select.select([release_read], [], [], 30)[0], "the worker was never released"
         return fn(*args)
 
+    def counted(position, fn, *args):
+        result = fn(*args)
+        parent_ran.append(position)
+        if len(parent_ran) == len(serial) - 1:
+            os.write(release_write, b"r")
+        return result
+
     log = tmp_path / "ran"
-    start = time.monotonic()
-    with _by_process(log, in_worker=held):
-        split = _split("all", DERIVED)
-    wall = time.monotonic() - start
+    try:
+        with _by_process(log, in_parent=counted, in_worker=held):
+            split = _split("all", DERIVED)
+    finally:
+        os.close(release_read)
+        os.close(release_write)
     assert split == serial
     ran = _ran(log)
     worker = [position for pid, position in ran if pid != parent]
@@ -481,7 +489,6 @@ def test_the_parent_runs_every_other_check_while_the_worker_is_held(tmp_path):
     assert sorted(position for pid, position in ran if pid == parent) == [
         i for i in range(len(serial)) if i not in worker
     ]
-    assert wall < serial_s + sleep
 
 
 class _Stop(BaseException):
